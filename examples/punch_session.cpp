@@ -10,6 +10,7 @@
 //
 //   ./build/examples/punch_session
 #include <cstdio>
+#include <vector>
 
 #include "actyp/scenario.hpp"
 #include "punch/desktop.hpp"
@@ -80,15 +81,19 @@ int main() {
   config.seed = 11;
   SimScenario scenario(config);
 
-  // Give the fleet the attributes the demo tools need.
-  scenario.database().ForEach([&scenario](const db::MachineRecord& rec) {
-    scenario.database().Update(rec.id, [](db::MachineRecord& r) {
+  // Give the fleet the attributes the demo tools need. The walk holds
+  // the database lock, so collect ids first and update after.
+  std::vector<db::MachineId> ids;
+  scenario.database().ForEach(
+      [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
+  for (const db::MachineId id : ids) {
+    scenario.database().Update(id, [](db::MachineRecord& r) {
       r.params["license"] = "tsuprem4";
       r.params["domain"] = "purdue";
       r.params["memory"] = "1024";
       r.params["arch"] = r.id % 3 == 0 ? "hp" : "sun";
     });
-  });
+  }
 
   punch::KnowledgeBase kb = punch::KnowledgeBase::Demo();
   punch::UserRegistry users;

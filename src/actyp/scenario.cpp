@@ -794,12 +794,12 @@ void SimScenario::InstallFaultHooks() {
     std::vector<db::MachineId> victims;
     const auto it = site_machines_.find(site);
     if (it == site_machines_.end()) return victims;
-    for (const db::MachineId id : it->second) {
-      const auto rec = database_.Get(id);
-      if (rec.ok() && rec->state == db::MachineState::kUp) {
-        victims.push_back(id);
-      }
-    }
+    database_.VisitRecords(
+        it->second, [&](std::size_t, const db::MachineRecord* rec) {
+          if (rec != nullptr && rec->state == db::MachineState::kUp) {
+            victims.push_back(rec->id);
+          }
+        });
     for (const db::MachineId id : victims) {
       database_.Update(id, [](db::MachineRecord& rec) {
         rec.state = db::MachineState::kDown;

@@ -1,6 +1,8 @@
 #include "db/database.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <unordered_set>
 
 #include "common/strings.hpp"
 
@@ -50,38 +52,77 @@ std::optional<std::uint64_t> ResourceDatabase::ChangesSince(
   return version_;
 }
 
-Result<MachineId> ResourceDatabase::Add(MachineRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
+MachineRecord* ResourceDatabase::FindLocked(MachineId id) const {
+  if (id < dense_.size()) return dense_[id];
+  const auto it = sparse_.find(id);
+  return it == sparse_.end() ? nullptr : it->second;
+}
+
+template <typename Fn>
+void ResourceDatabase::WalkLocked(Fn&& fn) const {
+  for (MachineRecord* rec : dense_) {
+    if (rec != nullptr) fn(*rec);
+  }
+  for (const auto& [id, rec] : sparse_) fn(*rec);
+}
+
+Result<MachineId> ResourceDatabase::ResolveIdLocked(
+    const MachineRecord& record, std::uint64_t next_id) const {
   if (record.name.empty()) {
     return InvalidArgument("machine record must have a name");
   }
   if (by_name_.count(record.name)) {
     return AlreadyExists("machine '" + record.name + "' already registered");
   }
-  if (record.id == kInvalidMachine) {
-    record.id = next_id_++;
-  } else {
-    if (records_.count(record.id)) {
+  if (record.id != kInvalidMachine) {
+    if (FindLocked(record.id) != nullptr) {
       return AlreadyExists("machine id " + std::to_string(record.id) +
                            " already registered");
     }
-    next_id_ = std::max(next_id_, record.id + 1);
+    return record.id;
   }
+  if (next_id > std::numeric_limits<MachineId>::max()) {
+    return Exhausted("machine id space exhausted");
+  }
+  return static_cast<MachineId>(next_id);
+}
+
+void ResourceDatabase::InsertLocked(MachineRecord record) {
   const MachineId id = record.id;
-  by_name_[record.name] = id;
-  auto& stored = records_[id];
-  stored = std::move(record);
-  MarkDirtyLocked(stored);
-  return id;
+  next_id_ = std::max<std::uint64_t>(next_id_, std::uint64_t{id} + 1);
+  MachineRecord* stored = &store_.emplace_back(std::move(record));
+  by_name_.emplace(stored->name, id);
+  const std::uint64_t dense_limit = 2 * std::uint64_t{store_.size()} + 64;
+  if (id < dense_.size()) {
+    dense_[id] = stored;
+  } else if (id < dense_limit) {
+    dense_.resize(std::size_t{id} + 1, nullptr);
+    dense_[id] = stored;
+    // Sparse ids the dense part now covers move into it.
+    while (!sparse_.empty() && sparse_.begin()->first < dense_.size()) {
+      dense_[sparse_.begin()->first] = sparse_.begin()->second;
+      sparse_.erase(sparse_.begin());
+    }
+  } else {
+    sparse_.emplace(id, stored);
+  }
+  MarkDirtyLocked(*stored);
+}
+
+Result<MachineId> ResourceDatabase::Add(MachineRecord record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto id = ResolveIdLocked(record, next_id_);
+  if (!id.ok()) return id.status();
+  record.id = *id;
+  InsertLocked(std::move(record));
+  return *id;
 }
 
 Result<MachineRecord> ResourceDatabase::Get(MachineId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
-  }
-  return it->second;
+  const MachineRecord* rec = FindLocked(id);
+  if (rec == nullptr) return NotFound("machine id " + std::to_string(id));
+  return *rec;
 }
 
 Result<MachineRecord> ResourceDatabase::GetByName(
@@ -89,24 +130,25 @@ Result<MachineRecord> ResourceDatabase::GetByName(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return NotFound("machine '" + name + "'");
-  return records_.at(it->second);
+  return *FindLocked(it->second);
 }
 
 Status ResourceDatabase::Update(
     MachineId id, const std::function<void(MachineRecord&)>& mutate) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
+  MachineRecord* rec = FindLocked(id);
+  if (rec == nullptr) return NotFound("machine id " + std::to_string(id));
+  // The index entry owns a copy of the name, so a rename is detected
+  // against it without copying the name on every update.
+  const auto name_it = by_name_.find(rec->name);
+  mutate(*rec);
+  rec->id = id;  // id is immutable
+  if (rec->name != name_it->first) {
+    auto node = by_name_.extract(name_it);
+    node.key() = rec->name;
+    by_name_.insert(std::move(node));
   }
-  const std::string old_name = it->second.name;
-  mutate(it->second);
-  it->second.id = id;  // id is immutable
-  if (it->second.name != old_name) {
-    by_name_.erase(old_name);
-    by_name_[it->second.name] = id;
-  }
-  MarkDirtyLocked(it->second);
+  MarkDirtyLocked(*rec);
   return Status::Ok();
 }
 
@@ -118,10 +160,10 @@ void ResourceDatabase::ApplyDynamic(
     const std::vector<std::pair<MachineId, DynamicState>>& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, dyn] : batch) {
-    auto it = records_.find(id);
-    if (it == records_.end()) continue;
-    it->second.dyn = dyn;
-    MarkDirtyLocked(it->second);
+    MachineRecord* rec = FindLocked(id);
+    if (rec == nullptr) continue;
+    rec->dyn = dyn;
+    MarkDirtyLocked(*rec);
   }
 }
 
@@ -130,47 +172,43 @@ std::vector<MachineId> ResourceDatabase::ClaimMatching(
     std::size_t limit) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> claimed;
-  for (auto& [id, rec] : records_) {
-    if (limit > 0 && claimed.size() >= limit) break;
-    if (!rec.taken_by.empty() || !rec.IsUsable()) continue;
-    const MachineRecord& snapshot = rec;
-    if (!query.Matches([&snapshot](const std::string& name) {
-          return snapshot.Attribute(name);
-        })) {
-      continue;
+  WalkLocked([&](MachineRecord& rec) {
+    if (limit > 0 && claimed.size() >= limit) return;
+    if (!rec.taken_by.empty() || !rec.IsUsable()) return;
+    if (!query.Matches(
+            [&rec](const std::string& name) { return rec.Attribute(name); })) {
+      return;
     }
     rec.taken_by = pool_name;
     MarkDirtyLocked(rec);
-    claimed.push_back(id);
-  }
+    claimed.push_back(rec.id);
+  });
   return claimed;
 }
 
 std::size_t ResourceDatabase::ReleaseAllFrom(const std::string& pool_name) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t released = 0;
-  for (auto& [id, rec] : records_) {
+  WalkLocked([&](MachineRecord& rec) {
     if (rec.taken_by == pool_name) {
       rec.taken_by.clear();
       MarkDirtyLocked(rec);
       ++released;
     }
-  }
+  });
   return released;
 }
 
 Status ResourceDatabase::Release(MachineId id, const std::string& pool_name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(id);
-  if (it == records_.end()) {
-    return NotFound("machine id " + std::to_string(id));
-  }
-  if (it->second.taken_by != pool_name) {
+  MachineRecord* rec = FindLocked(id);
+  if (rec == nullptr) return NotFound("machine id " + std::to_string(id));
+  if (rec->taken_by != pool_name) {
     return PermissionDenied("machine " + std::to_string(id) +
                             " is not taken by '" + pool_name + "'");
   }
-  it->second.taken_by.clear();
-  MarkDirtyLocked(it->second);
+  rec->taken_by.clear();
+  MarkDirtyLocked(*rec);
   return Status::Ok();
 }
 
@@ -178,9 +216,9 @@ std::vector<MachineId> ResourceDatabase::ListTakenBy(
     const std::string& pool_name) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MachineId> out;
-  for (const auto& [id, rec] : records_) {
-    if (rec.taken_by == pool_name) out.push_back(id);
-  }
+  WalkLocked([&](const MachineRecord& rec) {
+    if (rec.taken_by == pool_name) out.push_back(rec.id);
+  });
   return out;
 }
 
@@ -188,61 +226,64 @@ void ResourceDatabase::VisitRecords(
     const std::vector<MachineId>& ids,
     const std::function<void(std::size_t, const MachineRecord*)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto it = records_.find(ids[i]);
-    fn(i, it == records_.end() ? nullptr : &it->second);
-  }
+  for (std::size_t i = 0; i < ids.size(); ++i) fn(i, FindLocked(ids[i]));
 }
 
 void ResourceDatabase::ForEach(
     const std::function<void(const MachineRecord&)>& fn) const {
-  std::vector<MachineRecord> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(records_.size());
-    for (const auto& [id, rec] : records_) snapshot.push_back(rec);
-  }
-  for (const auto& rec : snapshot) fn(rec);
-}
-
-void ResourceDatabase::VisitAll(
-    const std::function<void(const MachineRecord&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, rec] : records_) fn(rec);
+  WalkLocked(fn);
 }
 
 std::size_t ResourceDatabase::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return store_.size();
 }
 
 std::size_t ResourceDatabase::free_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [id, rec] : records_) {
+  WalkLocked([&n](const MachineRecord& rec) {
     if (rec.taken_by.empty() && rec.IsUsable()) ++n;
-  }
+  });
   return n;
 }
 
 std::string ResourceDatabase::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const auto& [id, rec] : records_) {
+  WalkLocked([&out](const MachineRecord& rec) {
     out += rec.Serialize();
     out += '\n';
-  }
+  });
   return out;
 }
 
 Status ResourceDatabase::LoadFrom(std::string_view text) {
+  std::vector<MachineRecord> batch;
   for (const auto& line : Split(text, '\n')) {
     if (TrimView(line).empty()) continue;
     auto rec = MachineRecord::Deserialize(line);
     if (!rec.ok()) return rec.status();
-    auto added = Add(std::move(rec.value()));
-    if (!added.ok()) return added.status();
+    batch.push_back(std::move(rec).value());
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  // Resolve every id and check every name before inserting any record,
+  // replaying the id counter, so a bad line leaves the table untouched.
+  std::unordered_set<std::string_view> names;
+  std::unordered_set<MachineId> ids;
+  std::uint64_t next_id = next_id_;
+  for (MachineRecord& rec : batch) {
+    auto id = ResolveIdLocked(rec, next_id);
+    if (!id.ok()) return id.status();
+    if (!names.insert(rec.name).second || !ids.insert(*id).second) {
+      return AlreadyExists("machine '" + rec.name + "' (id " +
+                           std::to_string(*id) + ") appears twice");
+    }
+    rec.id = *id;
+    next_id = std::max<std::uint64_t>(next_id, std::uint64_t{*id} + 1);
+  }
+  for (MachineRecord& rec : batch) InsertLocked(std::move(rec));
   return Status::Ok();
 }
 

@@ -5,14 +5,22 @@
 // Thread-safe: the threaded runtime has the monitor, pool managers, and
 // pools touching it concurrently. The discrete-event runtime serializes
 // access but uses the same interface.
+//
+// Storage is flat: records live in a chunked store that never moves or
+// reallocates them, and every walk visits them in ascending id order
+// (the order claims, churn victims and reports depend on). Ids may be
+// sparse and arrive out of order; memory follows the record count, not
+// the largest id.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,8 +34,8 @@ class ResourceDatabase {
  public:
   ResourceDatabase() = default;
 
-  // Inserts a record; assigns an id if the record has none. Fails on
-  // duplicate name.
+  // Inserts a record; assigns an id if the record has none. Fails on a
+  // duplicate name or id.
   Result<MachineId> Add(MachineRecord record);
 
   // Copy-out accessors (callers never hold references into the table).
@@ -63,13 +71,15 @@ class ResourceDatabase {
   [[nodiscard]] std::vector<MachineId> ListTakenBy(
       const std::string& pool_name) const;
 
-  // Walks all records (copy per record) — used by baselines and tools.
-  void ForEach(const std::function<void(const MachineRecord&)>& fn) const;
+  // Visitor contract (ForEach, VisitRecords): records are visited in
+  // place, without copies, while the database lock is held. The
+  // callback must not call back into the database (it would deadlock)
+  // and must not keep a reference or pointer to a record past its
+  // return. A caller that wants to mutate what it visits collects ids
+  // first and calls Update afterwards.
 
-  // Walks all records under one lock without copying — the monitor's
-  // sweep path. `fn` must not call back into the database (the lock is
-  // held) and must not retain the reference.
-  void VisitAll(const std::function<void(const MachineRecord&)>& fn) const;
+  // Walks every record in ascending id order.
+  void ForEach(const std::function<void(const MachineRecord&)>& fn) const;
 
   // --- change tracking (dirty-id refresh) ---
   // Every mutation bumps a global version, stamps it on the record, and
@@ -87,9 +97,9 @@ class ResourceDatabase {
   [[nodiscard]] std::optional<std::uint64_t> ChangesSince(
       std::uint64_t since, std::vector<MachineId>* out) const;
 
-  // Batched read for the pools' periodic refresh sweep: one lock, no
-  // record copies. Calls fn(position, record) for each id, with a null
-  // record for unknown ids; the reference is only valid inside fn.
+  // Batched read for the pools' periodic refresh sweep: calls
+  // fn(position, record) for each id, in the order given, with a null
+  // record for unknown ids.
   void VisitRecords(
       const std::vector<MachineId>& ids,
       const std::function<void(std::size_t, const MachineRecord*)>& fn) const;
@@ -97,20 +107,49 @@ class ResourceDatabase {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t free_count() const;
 
-  // Snapshot serialization: one record per line. LoadFrom adds the
-  // records in `text` to this database (it is not cleared first).
+  // Snapshot serialization: one record per line, ascending id. LoadFrom
+  // adds the records in `text` to this database (it is not cleared
+  // first). It is all-or-nothing: every line is parsed and checked for
+  // duplicate names and ids (within the text and against the table)
+  // before any record is inserted, so a failed load changes nothing.
   [[nodiscard]] std::string Serialize() const;
   Status LoadFrom(std::string_view text);
 
  private:
+  // Record with `id`, or null. Caller holds mu_.
+  MachineRecord* FindLocked(MachineId id) const;
+  // Calls fn(MachineRecord&) for every record, ascending id. Caller
+  // holds mu_.
+  template <typename Fn>
+  void WalkLocked(Fn&& fn) const;
+  // The id `record` gets when inserted with the id counter at `next_id`
+  // (its own id, or the counter when it has none); fails on an empty or
+  // registered name, a registered id, or an exhausted id space. Caller
+  // holds mu_.
+  Result<MachineId> ResolveIdLocked(const MachineRecord& record,
+                                    std::uint64_t next_id) const;
+  // Stores `record`, whose id ResolveIdLocked has set. Caller holds mu_.
+  void InsertLocked(MachineRecord record);
   // Stamps the next version on `rec` and journals the change. Caller
   // holds mu_.
   void MarkDirtyLocked(MachineRecord& rec);
 
-  MachineId next_id_ = 1;
+  // 64-bit so that registering id 0xFFFFFFFF does not wrap the counter.
+  std::uint64_t next_id_ = 1;
   mutable std::mutex mu_;
-  std::map<MachineId, MachineRecord> records_;
-  std::map<std::string, MachineId> by_name_;
+  // Owns the records in insertion order. A deque grows in chunks and
+  // never relocates an element, so the pointers below stay valid and
+  // the table is never copied wholesale on growth.
+  std::deque<MachineRecord> store_;
+  // The id index, in two parts that together hold every id in
+  // ascending order. Ids below dense_.size() sit at their own position
+  // in dense_ (null = unused id): an O(1) lookup for the usual 1..N
+  // table. dense_ only grows to cover ids below 2 * size() + 64, so a
+  // sparse id costs no memory; it goes to sparse_, whose ids are all
+  // >= dense_.size().
+  std::vector<MachineRecord*> dense_;
+  std::map<MachineId, MachineRecord*> sparse_;
+  std::unordered_map<std::string, MachineId> by_name_;
 
   // Change journal: (version, id) pairs in strictly increasing version
   // order. Bounded: when it outgrows kJournalCapacity the oldest half

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -107,12 +108,22 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
                            " fields, expected 21");
   }
   MachineRecord rec;
-  auto want_int = [](const std::string& s,
-                     std::string_view what) -> Result<std::int64_t> {
+  // Integers are range-checked against their field's type (and the
+  // field's meaning) so that no value is narrowed silently.
+  auto want_int = [](const std::string& s, std::string_view what,
+                     std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                     std::int64_t hi = std::numeric_limits<std::int64_t>::max())
+      -> Result<std::int64_t> {
     auto v = ParseInt(s);
     if (!v) return InvalidArgument("bad integer for " + std::string(what));
+    if (*v < lo || *v > hi) {
+      return InvalidArgument(std::string(what) + " " + s + " out of range [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "]");
+    }
     return *v;
   };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   auto want_double = [](const std::string& s,
                         std::string_view what) -> Result<double> {
     auto v = ParseDouble(s);
@@ -120,7 +131,8 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
     return *v;
   };
 
-  auto id = want_int(fields[0], "id");
+  auto id = want_int(fields[0], "id", 0,
+                     std::numeric_limits<MachineId>::max());
   if (!id.ok()) return id.status();
   rec.id = static_cast<MachineId>(*id);
 
@@ -131,7 +143,7 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   auto load = want_double(fields[2], "load");
   if (!load.ok()) return load.status();
   rec.dyn.load = *load;
-  auto jobs = want_int(fields[3], "active_jobs");
+  auto jobs = want_int(fields[3], "active_jobs", 0, kIntMax);
   if (!jobs.ok()) return jobs.status();
   rec.dyn.active_jobs = static_cast<int>(*jobs);
   auto mem = want_double(fields[4], "memory");
@@ -143,14 +155,15 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   auto upd = want_int(fields[6], "last_update");
   if (!upd.ok()) return upd.status();
   rec.dyn.last_update = *upd;
-  auto flags = want_int(fields[7], "service_flags");
+  auto flags = want_int(fields[7], "service_flags", 0,
+                        std::numeric_limits<std::uint32_t>::max());
   if (!flags.ok()) return flags.status();
   rec.dyn.service_flags = static_cast<std::uint32_t>(*flags);
 
   auto speed = want_double(fields[8], "effective_speed");
   if (!speed.ok()) return speed.status();
   rec.effective_speed = *speed;
-  auto cpus = want_int(fields[9], "num_cpus");
+  auto cpus = want_int(fields[9], "num_cpus", 1, kIntMax);
   if (!cpus.ok()) return cpus.status();
   rec.num_cpus = static_cast<int>(*cpus);
   auto maxload = want_double(fields[10], "max_allowed_load");
@@ -161,10 +174,12 @@ Result<MachineRecord> MachineRecord::Deserialize(std::string_view line) {
   rec.object_path = fields[12];
   rec.shared_account = fields[13];
 
-  auto eport = want_int(fields[14], "execution_unit_port");
+  auto eport = want_int(fields[14], "execution_unit_port", 0,
+                        std::numeric_limits<std::uint16_t>::max());
   if (!eport.ok()) return eport.status();
   rec.execution_unit_port = static_cast<std::uint16_t>(*eport);
-  auto pport = want_int(fields[15], "pvfs_mount_port");
+  auto pport = want_int(fields[15], "pvfs_mount_port", 0,
+                        std::numeric_limits<std::uint16_t>::max());
   if (!pport.ok()) return pport.status();
   rec.pvfs_mount_port = static_cast<std::uint16_t>(*pport);
 

@@ -29,7 +29,7 @@ std::size_t ResourceMonitor::Step(SimTime now) {
   // record, and only the machines actually rewritten are marked dirty
   // (version-bumped), so pool refreshes stay proportional to churn.
   batch_.clear();
-  database_->VisitAll([&](const db::MachineRecord& rec) {
+  database_->ForEach([&](const db::MachineRecord& rec) {
     EnsureTracked(rec.id, rec);
     PerMachine& pm = machines_.at(rec.id);
     const SimDuration since = now - pm.last_update;

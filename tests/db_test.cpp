@@ -3,9 +3,14 @@
 // accounts, and usage policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "db/database.hpp"
 #include "db/machine.hpp"
 #include "db/policy.hpp"
@@ -39,6 +44,14 @@ MachineRecord SampleMachine(const std::string& name = "ece1.purdue.edu") {
   rec.params = {{"arch", "sun"}, {"memory", "512"}, {"domain", "purdue"},
                 {"license", "tsuprem4"}};
   return rec;
+}
+
+// `rec` serialized with field `field` replaced by `value`.
+std::string WithField(const MachineRecord& rec, std::size_t field,
+                      const std::string& value) {
+  std::vector<std::string> fields = Split(rec.Serialize(), ';');
+  fields.at(field) = value;
+  return Join(fields, ";");
 }
 
 // --- MachineRecord ---
@@ -137,6 +150,30 @@ TEST(MachineRecord, DeserializeRejectsBadInput) {
   const std::size_t semi = line.find(';');
   line = line.substr(0, semi + 1) + "notastate" + line.substr(line.find(';', semi + 1));
   EXPECT_FALSE(MachineRecord::Deserialize(line).ok());
+
+  // Integers that do not fit their field are rejected, not narrowed.
+  const std::vector<std::pair<std::size_t, std::string>> out_of_range = {
+      {0, "-1"},           {0, "4294967296"},  {0, "4294967297"},
+      {3, "-1"},           {3, "2147483648"},  {7, "-1"},
+      {7, "4294967296"},   {9, "0"},           {9, "-2"},
+      {14, "70000"},       {14, "-1"},         {15, "65536"},
+  };
+  for (const auto& [field, value] : out_of_range) {
+    const auto parsed =
+        MachineRecord::Deserialize(WithField(SampleMachine(), field, value));
+    EXPECT_FALSE(parsed.ok()) << "field " << field << " = " << value;
+  }
+  // The edges of each range still load.
+  const std::vector<std::pair<std::size_t, std::string>> in_range = {
+      {0, "0"},  {0, "4294967295"}, {3, "0"},      {7, "4294967295"},
+      {9, "1"},  {14, "0"},         {14, "65535"}, {15, "65535"},
+  };
+  for (const auto& [field, value] : in_range) {
+    const auto parsed =
+        MachineRecord::Deserialize(WithField(SampleMachine(), field, value));
+    ASSERT_TRUE(parsed.ok()) << "field " << field << " = " << value;
+    EXPECT_EQ(Split(parsed->Serialize(), ';')[field], value);
+  }
 }
 
 // --- ResourceDatabase ---
@@ -254,6 +291,141 @@ TEST(ResourceDatabase, SnapshotRoundTrip) {
   EXPECT_EQ(loaded.Serialize(), database.Serialize());
 }
 
+TEST(ResourceDatabase, FailedLoadChangesNothing) {
+  ResourceDatabase database;
+  ASSERT_TRUE(database.Add(SampleMachine("resident")).ok());
+  const std::string before = database.Serialize();
+  const std::string good1 = WithField(SampleMachine("good1"), 0, "0");
+  const std::string good2 = WithField(SampleMachine("good2"), 0, "0");
+  const std::vector<std::string> bad_loads = {
+      // A line that does not parse, between two good ones.
+      good1 + "\ngarbage\n" + good2 + "\n",
+      // A name already in the table, after a good line.
+      good1 + "\n" + WithField(SampleMachine("resident"), 0, "0") + "\n",
+      // An id already in the table.
+      good1 + "\n" + WithField(SampleMachine("other"), 0, "1") + "\n",
+      // The same name twice within the text.
+      good1 + "\n" + good1 + "\n",
+      // The same explicit id twice within the text.
+      WithField(SampleMachine("x"), 0, "40") + "\n" +
+          WithField(SampleMachine("y"), 0, "40") + "\n",
+      // An explicit id that an earlier auto-assigned line takes (the
+      // table's next id is 2).
+      good1 + "\n" + WithField(SampleMachine("z"), 0, "2") + "\n",
+  };
+  for (const std::string& text : bad_loads) {
+    EXPECT_FALSE(database.LoadFrom(text).ok()) << text;
+    EXPECT_EQ(database.size(), 1u) << text;
+    EXPECT_EQ(database.Serialize(), before) << text;
+  }
+  // A good load still goes through after the failures.
+  ASSERT_TRUE(database.LoadFrom(good1 + "\n" + good2 + "\n").ok());
+  EXPECT_EQ(database.size(), 3u);
+}
+
+TEST(ResourceDatabase, SparseOutOfOrderIdsWalkAscending) {
+  ResourceDatabase database;
+  const std::vector<MachineId> added = {900, 7, 4000000000u, 42, 8};
+  for (const MachineId id : added) {
+    MachineRecord rec = SampleMachine("m" + std::to_string(id));
+    rec.id = id;
+    ASSERT_TRUE(database.Add(rec).ok()) << id;
+  }
+  // An auto-assigned id follows the largest id seen so far.
+  auto next = database.Add(SampleMachine("auto"));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 4000000001u);
+  const std::vector<MachineId> ascending = {7, 8, 42, 900, 4000000000u,
+                                            4000000001u};
+
+  std::vector<MachineId> walked;
+  database.ForEach(
+      [&walked](const MachineRecord& rec) { walked.push_back(rec.id); });
+  EXPECT_EQ(walked, ascending);
+
+  auto q = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(database.ClaimMatching(*q, "poolA", 3),
+            (std::vector<MachineId>{7, 8, 42}));
+  EXPECT_EQ(database.ListTakenBy("poolA"),
+            (std::vector<MachineId>{7, 8, 42}));
+  EXPECT_EQ(database.free_count(), 3u);
+  EXPECT_EQ(database.ReleaseAllFrom("poolA"), 3u);
+
+  std::vector<MachineId> serialized;
+  for (const std::string& line : SplitSkipEmpty(database.Serialize(), '\n')) {
+    serialized.push_back(static_cast<MachineId>(
+        *ParseInt(line.substr(0, line.find(';')))));
+  }
+  EXPECT_EQ(serialized, ascending);
+
+  // Missing ids, including ones between and beyond the sparse ids.
+  for (const MachineId missing : {MachineId{1}, MachineId{9},
+                                  MachineId{3999999999u}, MachineId{4294967295u}}) {
+    EXPECT_EQ(database.Get(missing).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(database.Update(missing, [](MachineRecord&) {}).code(),
+              StatusCode::kNotFound);
+  }
+  std::vector<bool> found;
+  database.VisitRecords({42, 9, 4000000000u},
+                        [&found](std::size_t, const MachineRecord* rec) {
+                          found.push_back(rec != nullptr);
+                        });
+  EXPECT_EQ(found, (std::vector<bool>{true, false, true}));
+
+  // Renaming through Update moves the name index with the record.
+  ASSERT_TRUE(database
+                  .Update(42, [](MachineRecord& rec) { rec.name = "renamed"; })
+                  .ok());
+  EXPECT_EQ(database.GetByName("renamed")->id, 42u);
+  EXPECT_FALSE(database.GetByName("m42").ok());
+
+  ResourceDatabase loaded;
+  ASSERT_TRUE(loaded.LoadFrom(database.Serialize()).ok());
+  EXPECT_EQ(loaded.Serialize(), database.Serialize());
+  std::vector<MachineId> reloaded;
+  loaded.ForEach(
+      [&reloaded](const MachineRecord& rec) { reloaded.push_back(rec.id); });
+  EXPECT_EQ(reloaded, ascending);
+}
+
+TEST(ResourceDatabase, IdsStayOrderedAsTheTableFillsIn) {
+  // Id 100 arrives while the table is nearly empty, so it is sparse;
+  // as the table fills in below it and then past it, every walk and
+  // lookup must still see it in its place.
+  ResourceDatabase database;
+  std::vector<MachineId> added = {100};
+  for (MachineId id = 1; id <= 60; ++id) added.push_back(id);
+  added.push_back(101);
+  for (const MachineId id : added) {
+    MachineRecord rec = SampleMachine("m" + std::to_string(id));
+    rec.id = id;
+    ASSERT_TRUE(database.Add(rec).ok()) << id;
+  }
+  std::vector<MachineId> walked;
+  database.ForEach(
+      [&walked](const MachineRecord& rec) { walked.push_back(rec.id); });
+  std::vector<MachineId> ascending = added;
+  std::sort(ascending.begin(), ascending.end());
+  EXPECT_EQ(walked, ascending);
+  for (const MachineId id : added) {
+    ASSERT_TRUE(database.Get(id).ok()) << id;
+    EXPECT_EQ(database.Get(id)->name, "m" + std::to_string(id));
+  }
+  EXPECT_FALSE(database.Get(61).ok());
+  EXPECT_FALSE(database.Get(99).ok());
+}
+
+TEST(ResourceDatabase, LargestIdDoesNotWrapTheIdCounter) {
+  ResourceDatabase database;
+  MachineRecord top = SampleMachine("top");
+  top.id = std::numeric_limits<MachineId>::max();
+  ASSERT_TRUE(database.Add(top).ok());
+  // No id is left to assign: the add fails instead of handing out id 0.
+  EXPECT_FALSE(database.Add(SampleMachine("after")).ok());
+  EXPECT_EQ(database.size(), 1u);
+}
+
 // --- shadow accounts ---
 
 // --- change tracking (dirty-id refresh) ---
@@ -364,13 +536,13 @@ TEST(ResourceDatabase, ApplyDynamicBatchesAndJournals) {
   EXPECT_EQ(dirty, (std::vector<MachineId>{ids[1], ids[3]}));
 }
 
-TEST(ResourceDatabase, VisitAllSeesEveryRecordWithoutCopies) {
+TEST(ResourceDatabase, ForEachSeesEveryRecordWithoutCopies) {
   ResourceDatabase database;
   for (int i = 0; i < 6; ++i) {
     database.Add(SampleMachine("m" + std::to_string(i)));
   }
   std::size_t seen = 0;
-  database.VisitAll([&seen](const MachineRecord& rec) {
+  database.ForEach([&seen](const MachineRecord& rec) {
     EXPECT_NE(rec.id, kInvalidMachine);
     ++seen;
   });

@@ -3,6 +3,8 @@
 // full Fig. 1 sequence against a simulated pipeline.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "actyp/scenario.hpp"
 #include "punch/app_manager.hpp"
 #include "punch/desktop.hpp"
@@ -217,15 +219,19 @@ class DesktopEndToEnd : public ::testing::Test {
     config.precreate_pools = false;  // desktop queries create pools
     config.seed = 5;
     scenario_ = std::make_unique<SimScenario>(config);
-    // Give the fleet the attributes the demo tools ask for.
-    scenario_->database().ForEach([this](const db::MachineRecord& rec) {
-      scenario_->database().Update(rec.id, [](db::MachineRecord& r) {
+    // Give the fleet the attributes the demo tools ask for. The walk
+    // holds the database lock, so collect ids first and update after.
+    std::vector<db::MachineId> ids;
+    scenario_->database().ForEach(
+        [&ids](const db::MachineRecord& rec) { ids.push_back(rec.id); });
+    for (const db::MachineId id : ids) {
+      scenario_->database().Update(id, [](db::MachineRecord& r) {
         r.params["license"] = "tsuprem4";
         r.params["domain"] = "purdue";
         r.params["arch"] = "sun";
         r.params["memory"] = "1024";
       });
-    });
+    }
 
     kb_ = KnowledgeBase::Demo();
     UserAccount account;

@@ -4,6 +4,9 @@
 // floor — at reduced scale so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "actyp/scenario.hpp"
 
 namespace actyp {
@@ -277,6 +280,45 @@ TEST(Scenario, MachinesGoingDownAreAvoidedAfterRefresh) {
   // Down machines accumulate no further jobs once refresh saw them: their
   // monitor-reported job counts stay at the level they had when downed.
   // (Allocations target only up machines.)
+}
+
+// Golden churn victims: the ids the first machine-churn strikes crash
+// at a fixed seed, pinned so that the picker (up machines in ascending
+// id order, uniform swap-remove draws) keeps choosing the same victims
+// in the same order. The downtime outlasts the window, so every step's
+// newly-down machines are exactly one strike's victims.
+TEST(Scenario, MachineChurnVictimsAreGolden) {
+  ScenarioConfig config = BaseConfig();
+  config.machines = 100;
+  config.clusters = 2;
+  config.clients = 4;
+  config.seed = 7;
+  const auto plan = fault::FaultPlan::Parse(
+      "churn start=1 rate=2 count=3 downtime=1000 target=machines\n");
+  ASSERT_TRUE(plan.ok());
+  config.fault_plan = plan.value();
+  SimScenario scenario(config);
+  ASSERT_TRUE(scenario.fault_status().ok());
+
+  std::set<db::MachineId> down;
+  std::vector<std::vector<db::MachineId>> strikes;
+  for (int k = 0; k < 8; ++k) {
+    // Strike k lands at 1.5 + 0.5k s.
+    scenario.RunUntil(Seconds(1.6 + 0.5 * k));
+    std::vector<db::MachineId> fresh;
+    scenario.database().ForEach([&](const db::MachineRecord& rec) {
+      if (rec.state == db::MachineState::kDown && down.insert(rec.id).second) {
+        fresh.push_back(rec.id);
+      }
+    });
+    strikes.push_back(fresh);
+  }
+  const std::vector<std::vector<db::MachineId>> golden = {
+      {42, 67, 80}, {19, 52, 77}, {23, 34, 62}, {1, 44, 60},
+      {30, 31, 64}, {7, 28, 69},  {53, 65, 83}, {10, 27, 98},
+  };
+  EXPECT_EQ(strikes, golden);
+  EXPECT_EQ(scenario.fault_stats().machines_crashed, 24u);
 }
 
 TEST(Scenario, HotSpotConcentratesOnOnePool) {
