@@ -45,9 +45,10 @@ struct ScenarioConfig {
   std::size_t clusters = 1;        // number of distinct pools (Figs. 4-5)
   std::uint32_t pool_replicas = 1; // instances per pool (Fig. 8)
   std::uint32_t pool_segments = 1; // split factor per pool (Fig. 7)
-  // Paper-faithful default: the O(n) scan + periodic sort whose linear
-  // curves the figures reproduce. Set "least-load" (or another bare
-  // policy name) for the indexed fast path — see qm_scaling/pm_scaling.
+  // Paper-faithful default: the periodic sort and the O(n) scan charge
+  // whose linear curves the figures reproduce. Set "least-load" (or
+  // another bare policy name) for the indexed fast path — see
+  // qm_scaling/pm_scaling.
   std::string policy = "linear-least-load";
   SimDuration resort_period = Seconds(2.0);
   bool precreate_pools = true;  // false = pools created on demand

@@ -27,7 +27,7 @@ ResourcePool::ResourcePool(ResourcePoolConfig config,
   auto policy = sched::MakePolicy(config_.policy);
   policy_ = policy.ok() ? std::move(policy.value())
                         : std::make_unique<sched::LeastLoadPolicy>();
-  if (policy_->indexed()) {
+  if (policy_->ordered()) {
     index_ = std::make_unique<sched::SchedulingIndex>(
         policy_.get(), config_.instance, config_.instance_count);
   }
@@ -457,7 +457,7 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
 
 void ResourcePool::HandleTick(net::NodeContext& ctx) {
   const std::size_t refreshed = RefreshFromDatabase();
-  if (index_) {
+  if (policy_->indexed()) {
     // Indexed policies never reorder the cache. The dirty-id refresh
     // already re-positioned each touched entry in O(log n), so the tick
     // costs O(changed machines); only a full sweep (legacy mode or a
@@ -465,6 +465,8 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
     ctx.Consume(config_.costs.pool_sort_per_machine *
                 static_cast<SimDuration>(refreshed));
   } else {
+    // The linear-* model re-sorts: the cache order decides the stride
+    // classes and the tie-breaks the scan resolves.
     Resort(ctx);
   }
   reservations_.Prune(ctx.Now());
@@ -570,6 +572,7 @@ void ResourcePool::Resort(net::NodeContext& ctx) {
   for (std::size_t i = 0; i < cache_ids_.size(); ++i) {
     id_index_[cache_ids_[i]] = i;
   }
+  if (index_) index_->Rebuild(cache_);
 }
 
 std::string ResourcePool::MakeSessionKey(net::NodeContext& ctx) {

@@ -2,7 +2,9 @@
 //   1) machines aggregated according to the criteria encoded in its
 //      name (claimed from the white pages at initialization), and
 //   2) a scheduling process that orders those machines by a configured
-//      objective and answers queries with a linear search.
+//      objective and answers queries with a linear search (charged by
+//      its modelled cost, answered through the scheduling index; see
+//      sched/policy.hpp).
 //
 // Lifecycle: OnStart walks the white pages, claims matching machines
 // (marking them "taken"), loads a local cache, registers itself with the
@@ -137,7 +139,7 @@ class ResourcePool final : public net::Node {
   void ApplyRecord(std::size_t index, const db::MachineRecord& rec);
   void Resort(net::NodeContext& ctx);
   // Re-positions entry `index` in the scheduling index after its load
-  // changed (no-op for the legacy linear policies).
+  // changed (no-op for round-robin and random).
   void TouchIndex(std::size_t index);
   [[nodiscard]] std::string MakeSessionKey(net::NodeContext& ctx);
 
@@ -148,8 +150,8 @@ class ResourcePool final : public net::Node {
   db::PolicyRegistry* policies_;
 
   std::unique_ptr<sched::SchedulingPolicy> policy_;
-  // Present iff the policy is indexed: maintained on allocate/release/
-  // refresh, consulted instead of the linear scan.
+  // Present iff the policy is ordered (indexed and linear-*): maintained
+  // on allocate/release/refresh/re-sort and consulted for every query.
   std::unique_ptr<sched::SchedulingIndex> index_;
   std::vector<sched::CacheEntry> cache_;
   std::vector<EntryMeta> meta_;             // parallel to cache_

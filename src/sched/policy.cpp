@@ -144,7 +144,7 @@ Selection RandomPolicy::Select(const std::vector<CacheEntry>& cache,
 
 Result<std::unique_ptr<SchedulingPolicy>> MakePolicy(const std::string& name) {
   // The bare names are the indexed fast paths; the "linear-" prefix
-  // keeps the paper's O(n) scan + periodic sort behaviour.
+  // keeps the paper's periodic sort and O(n) scan charge.
   const bool linear = name.rfind("linear-", 0) == 0;
   const std::string base = linear ? name.substr(7) : name;
   if (base == "least-load" || base.empty()) {

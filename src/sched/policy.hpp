@@ -6,12 +6,17 @@
 // linear search algorithms employed for scheduling", so selection cost
 // is proportional to the number of entries examined.
 //
-// This reproduction keeps that legacy behaviour behind the "linear-*"
-// policy names (linear-least-load, linear-most-memory, linear-fastest)
-// so Fig. 6's curves stay reproducible, and makes the bare names
-// (least-load, most-memory, fastest) *indexed*: pools maintain an
-// incrementally-updated SchedulingIndex (sched/index.hpp) and answer
-// queries in near-constant entries examined instead of O(n).
+// The "linear-*" policy names (linear-least-load, linear-most-memory,
+// linear-fastest) keep that model so Fig. 6's curves stay reproducible:
+// the periodic re-sort, the machine the scan chooses and the entries it
+// examines. The scan is charged, not run: the pool answers through a
+// SchedulingIndex (sched/index.hpp) and charges the scan's count,
+// computed in O(1) — the size of the instance's stride class when the
+// choice lies in it, otherwise the whole cache. A search that visits
+// more than 64 + n/16 entries hands the query to Select below, the
+// reference scan. The bare names (least-load, most-memory, fastest) are
+// *indexed*: same index, no re-sort, and a query is charged only the
+// entries the index visits, near-constant instead of O(n).
 //
 // Replicated pool instances maintain scheduling integrity via an
 // instance-specific bias: instance i of n prefers every i-th machine
@@ -44,7 +49,6 @@ struct CacheEntry {
   int num_cpus = 1;
   double max_allowed_load = 1.0;
   int active_jobs = 0;
-  bool allocated = false;  // currently handed to a client
   SimTime updated = 0;
 };
 
@@ -72,26 +76,31 @@ class SchedulingPolicy {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // True when the pool should maintain a SchedulingIndex and select
-  // through it; false runs the legacy Select scan on every query.
+  // True for the bare ordered names: charged by the entries the index
+  // visits and never re-sorted. False for the linear-* names, which keep
+  // the periodic re-sort and are charged the linear scan's count.
   [[nodiscard]] bool indexed() const { return indexed_; }
+
+  // True when Better defines the selection order, so the pool answers
+  // through a SchedulingIndex; round-robin and random keep their Select.
+  [[nodiscard]] virtual bool ordered() const { return true; }
 
   // True when `a` should be preferred over `b` (used by the periodic
   // re-sort process and as the index ordering).
   [[nodiscard]] virtual bool Better(const CacheEntry& a,
                                     const CacheEntry& b) const = 0;
 
-  // Linear scan for the best *free* usable machine, honouring the
-  // replication bias: the instance's preferred stride is scanned first,
-  // then the remainder. Returns the chosen index and entries examined.
+  // Linear scan for the best eligible machine, honouring the replication
+  // bias: the instance's preferred stride is scanned first, then the
+  // remainder. Returns the chosen index and entries examined. For the
+  // ordered policies this is the reference the index answers like.
   [[nodiscard]] virtual Selection Select(const std::vector<CacheEntry>& cache,
                                          const SelectionContext& ctx) const;
 
   // Eligibility shared by all policies and by the index.
   [[nodiscard]] static bool Eligible(const CacheEntry& entry) {
-    return !entry.allocated &&
-           entry.load < entry.max_allowed_load +
-                            static_cast<double>(entry.num_cpus) - 1.0;
+    return entry.load <
+           entry.max_allowed_load + static_cast<double>(entry.num_cpus) - 1.0;
   }
 
  private:
@@ -141,6 +150,7 @@ class FastestPolicy final : public SchedulingPolicy {
 class RoundRobinPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "round-robin"; }
+  [[nodiscard]] bool ordered() const override { return false; }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
@@ -154,16 +164,16 @@ class RoundRobinPolicy final : public SchedulingPolicy {
 class RandomPolicy final : public SchedulingPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "random"; }
+  [[nodiscard]] bool ordered() const override { return false; }
   [[nodiscard]] bool Better(const CacheEntry& a,
                             const CacheEntry& b) const override;
   [[nodiscard]] Selection Select(const std::vector<CacheEntry>& cache,
                                  const SelectionContext& ctx) const override;
 };
 
-// Factory by name. Indexed fast paths: "least-load", "most-memory",
-// "fastest". Legacy linear scans: "linear-least-load",
-// "linear-most-memory", "linear-fastest". Unordered: "round-robin",
-// "random".
+// Factory by name. Indexed: "least-load", "most-memory", "fastest".
+// The paper's linear model: "linear-least-load", "linear-most-memory",
+// "linear-fastest". Unordered: "round-robin", "random".
 Result<std::unique_ptr<SchedulingPolicy>> MakePolicy(const std::string& name);
 
 }  // namespace actyp::sched

@@ -618,6 +618,110 @@ TEST(PoolRefreshEquivalence, QuietTicksRefreshNothing) {
   EXPECT_EQ(pool->stats().entries_refreshed, 0u);
 }
 
+// A saturated pair of linear-least-load replicas, pinned to golden
+// allocations and accounting: more clients than capacity, the Fig. 8
+// stride bias over a mix of 1- and 4-CPU machines (overloaded 1-CPU
+// machines sort ahead of eligible 4-CPU ones), periodic re-sorts that
+// reorder the cache between queries, and one co-allocation. Both the
+// chosen machines and the modelled scan charge must stay exactly these.
+TEST(PoolGolden, SaturatedLinearReplicasKeepTheirAllocations) {
+  simnet::SimKernel kernel;
+  simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
+  network.AddHost("alpha", 12);
+  db::ResourceDatabase database;
+  db::ShadowAccountRegistry shadows;
+  db::PolicyRegistry policies;
+  directory::DirectoryService directory;
+  auto probe = std::make_shared<Probe>();
+  network.AddNode("probe", probe, {"alpha", 4});
+  for (int i = 0; i < 8; ++i) {
+    db::MachineRecord rec;
+    rec.name = "sun" + std::to_string(i);
+    rec.params["arch"] = "sun";
+    rec.num_cpus = (i % 4 == 1) ? 4 : 1;
+    rec.dyn.load = 0.15 * static_cast<double>(i % 5);
+    rec.dyn.available_memory_mb = 256;
+    rec.effective_speed = 1.0 + 0.25 * static_cast<double>(i % 3);
+    ASSERT_TRUE(database.Add(std::move(rec)).ok());
+  }
+  auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(criteria.ok());
+  std::vector<std::shared_ptr<ResourcePool>> pools;
+  for (std::uint32_t instance = 0; instance < 2; ++instance) {
+    ResourcePoolConfig config;
+    config.criteria = *criteria;
+    config.pool_name = criteria->PoolName();
+    config.policy = "linear-least-load";
+    config.instance = instance;
+    config.instance_count = 2;
+    config.resort_period = Seconds(1);
+    pools.push_back(std::make_shared<ResourcePool>(
+        config, &database, &directory, &shadows, &policies));
+    network.AddNode("pool" + std::to_string(instance), pools.back(),
+                    {"alpha", 1});
+  }
+
+  struct Held {
+    std::string pool;
+    db::MachineId id;
+    std::string session;
+  };
+  std::vector<std::string> machines;
+  std::vector<Held> held;
+  std::size_t seen = 0;
+  for (int step = 0; step < 80; ++step) {
+    const std::string pool = "pool" + std::to_string(step % 2);
+    net::Message query{net::msg::kQuery};
+    query.SetHeader(net::hdr::kReplyTo, "probe");
+    query.SetHeader(net::hdr::kRequestId, std::to_string(step + 1));
+    query.body = step == 20 ? "punch.rsrc.arch = sun\npunch.appl.count = 2\n"
+                            : "punch.rsrc.arch = sun\n";
+    network.Post("probe", pool, std::move(query));
+    kernel.RunUntil(Millis(300) * (step + 1));
+    for (; seen < probe->messages.size(); ++seen) {
+      const net::Message& m = probe->messages[seen];
+      if (m.type != net::msg::kAllocation) continue;
+      machines.push_back(m.HasHeader("machines")
+                             ? m.Header("machines")
+                             : m.Header(net::hdr::kMachine));
+      const auto id = ParseInt(m.Header(net::hdr::kMachineId));
+      held.push_back(Held{pool, static_cast<db::MachineId>(id.value_or(0)),
+                          m.Header(net::hdr::kSessionKey)});
+    }
+    if (held.size() > 40) {
+      network.Post("probe", held.front().pool,
+                   MakeReleaseMessage(held.front().id, held.front().session));
+      held.erase(held.begin());
+    }
+  }
+  const std::vector<std::string> golden = {
+      "sun0", "sun5", "sun6", "sun1", "sun5", "sun6", "sun2", "sun2",
+      "sun1", "sun3", "sun3", "sun7", "sun7", "sun5", "sun4", "sun4",
+      "sun5", "sun1", "sun1", "sun5", "sun5,sun1", "sun5", "sun5", "sun0",
+      "sun1", "sun1", "sun0", "sun1", "sun6", "sun0", "sun2", "sun6",
+      "sun7", "sun2", "sun3", "sun7", "sun4", "sun3", "sun0", "sun4",
+      "sun6", "sun0", "sun0", "sun5", "sun6", "sun1", "sun5", "sun6",
+      "sun2", "sun2", "sun1", "sun3", "sun3", "sun7", "sun7", "sun5",
+      "sun4", "sun4", "sun5", "sun1", "sun1", "sun5", "sun5", "sun5",
+      "sun5", "sun0", "sun1", "sun1", "sun1", "sun1", "sun0", "sun0",
+      "sun2", "sun6", "sun7", "sun2", "sun3", "sun7", "sun4", "sun3"};
+  EXPECT_EQ(machines, golden);
+  struct Golden {
+    std::uint64_t queries, allocations, failures, oversubscribed, examined,
+        releases;
+  };
+  const Golden stats[] = {{40, 40, 0, 19, 420, 20}, {40, 40, 0, 18, 404, 19}};
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    const PoolStats& got = pools[i]->stats();
+    EXPECT_EQ(got.queries, stats[i].queries) << i;
+    EXPECT_EQ(got.allocations, stats[i].allocations) << i;
+    EXPECT_EQ(got.failures, stats[i].failures) << i;
+    EXPECT_EQ(got.oversubscribed, stats[i].oversubscribed) << i;
+    EXPECT_EQ(got.entries_examined, stats[i].examined) << i;
+    EXPECT_EQ(got.releases, stats[i].releases) << i;
+  }
+}
+
 TEST(ReservationBookUnit, BookConflictCancelPrune) {
   ReservationBook book;
   EXPECT_TRUE(book.IsFree(1, Seconds(10), Seconds(20)));

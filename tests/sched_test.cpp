@@ -4,6 +4,11 @@
 // exact equivalence with the legacy linear scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <string>
+
 #include "common/rng.hpp"
 #include "sched/index.hpp"
 #include "sched/policy.hpp"
@@ -69,14 +74,6 @@ TEST(Eligibility, MultiCpuRaisesCeiling) {
   smp.num_cpus = 4;  // ceiling = 1.0 + 4 - 1 = 4.0
   std::vector<CacheEntry> cache{smp};
   EXPECT_TRUE(policy.Select(cache, SelectionContext{}).found());
-}
-
-TEST(Eligibility, AllocatedExcluded) {
-  LeastLoadPolicy policy;
-  CacheEntry taken = Entry(0.0);
-  taken.allocated = true;
-  std::vector<CacheEntry> cache{taken};
-  EXPECT_FALSE(policy.Select(cache, SelectionContext{}).found());
 }
 
 TEST(Filter, ExcludesByIndex) {
@@ -196,6 +193,16 @@ TEST(Factory, BareNamesAreIndexedLinearNamesAreNot) {
   EXPECT_FALSE((*MakePolicy("random"))->indexed());
 }
 
+TEST(Factory, OrderedPoliciesAreTheIndexableOnes) {
+  for (const char* name : {"least-load", "most-memory", "fastest",
+                           "linear-least-load", "linear-most-memory",
+                           "linear-fastest"}) {
+    EXPECT_TRUE((*MakePolicy(name))->ordered()) << name;
+  }
+  EXPECT_FALSE((*MakePolicy("round-robin"))->ordered());
+  EXPECT_FALSE((*MakePolicy("random"))->ordered());
+}
+
 // Property sweep: every policy must return an eligible entry whenever one
 // exists, and must examine at most 2n entries.
 class PolicyProperty : public ::testing::TestWithParam<const char*> {};
@@ -233,81 +240,222 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
 
 // --- the scheduling index ---
 
-CacheEntry RandomEntry(Rng& rng) {
+constexpr const char* kOrderedPolicies[] = {
+    "least-load",        "most-memory",        "fastest",
+    "linear-least-load", "linear-most-memory", "linear-fastest"};
+
+// A machine with 1-8 CPUs, eligible or at/over its load ceiling. Loads,
+// memory and speed are coarse so objective ties (resolved by index) are
+// common.
+CacheEntry RandomEntry(Rng& rng, double ineligible_share) {
   CacheEntry entry;
-  entry.load = rng.Bernoulli(0.4) ? rng.Uniform(0, 0.95) : rng.Uniform(1, 9);
-  entry.available_memory_mb = 64 * (1 + rng.NextBounded(32));
-  entry.effective_speed = 0.5 + 0.25 * static_cast<double>(rng.NextBounded(8));
-  entry.num_cpus = 1 + static_cast<int>(rng.NextBounded(3));
+  entry.num_cpus = 1 + static_cast<int>(rng.NextBounded(8));
   entry.max_allowed_load = 1.0;
+  const double ceiling = static_cast<double>(entry.num_cpus);
+  entry.load =
+      rng.Bernoulli(ineligible_share)
+          ? ceiling + 0.25 * static_cast<double>(rng.NextBounded(12))
+          : 0.25 * static_cast<double>(rng.NextBounded(
+                       static_cast<std::uint64_t>(4 * ceiling)));
+  entry.available_memory_mb =
+      64.0 * static_cast<double>(1 + rng.NextBounded(8));
+  entry.effective_speed =
+      0.5 + 0.25 * static_cast<double>(rng.NextBounded(4));
   return entry;
 }
 
-// The index must choose exactly the entry the legacy linear scan does,
-// on any cache, any instance bias, and with any filter.
-TEST(SchedulingIndex, MatchesLinearScanOnRandomCaches) {
+// Implementation-independent oracle for the indexed charge: a best-first
+// search visits exactly the searched entries ordered before its answer,
+// plus the answer; the whole searched set when nothing passes. The own
+// stride class is searched first, the sibling classes only after it.
+std::size_t IndexedCharge(const SchedulingPolicy& policy,
+                          const std::vector<CacheEntry>& cache,
+                          const SelectionContext& ctx) {
+  const std::uint32_t stride = std::max<std::uint32_t>(1, ctx.instance_count);
+  const std::uint32_t own = ctx.instance % stride;
+  auto before = [&](std::size_t a, std::size_t b) {
+    if (policy.Better(cache[a], cache[b])) return true;
+    if (policy.Better(cache[b], cache[a])) return false;
+    return a < b;
+  };
+  auto passes = [&](std::size_t i) {
+    return SchedulingPolicy::Eligible(cache[i]) &&
+           (!ctx.filter || (*ctx.filter)(i, cache[i]));
+  };
+  auto charge = [&](bool own_set, bool* found) {
+    std::size_t size = 0;
+    std::size_t answer = SIZE_MAX;
+    for (std::size_t i = 0; i < cache.size(); ++i) {
+      if ((i % stride == own) != own_set) continue;
+      ++size;
+      if (passes(i) && (answer == SIZE_MAX || before(i, answer))) answer = i;
+    }
+    *found = answer != SIZE_MAX;
+    if (!*found) return size;
+    std::size_t ahead = 0;
+    for (std::size_t i = 0; i < cache.size(); ++i) {
+      if ((i % stride == own) == own_set && before(i, answer)) ++ahead;
+    }
+    return 1 + ahead;
+  };
+  bool found = false;
+  std::size_t examined = charge(true, &found);
+  if (!found && stride > 1) examined += charge(false, &found);
+  return examined;
+}
+
+// Every instance, with and without a filter: the index must choose the
+// linear scan's entry and charge the scan's count (linear-*) or the
+// oracle's (indexed).
+void ExpectIndexMatchesScan(const SchedulingPolicy& policy,
+                            const SchedulingIndex& index,
+                            const std::vector<CacheEntry>& cache,
+                            std::uint32_t stride, const std::string& where) {
+  const std::function<bool(std::size_t, const CacheEntry&)> filter =
+      [](std::size_t i, const CacheEntry&) { return (i * 7 + 3) % 4 != 0; };
+  for (std::uint32_t instance = 0; instance < stride; ++instance) {
+    for (const bool filtered : {false, true}) {
+      SelectionContext ctx;
+      ctx.instance = instance;
+      ctx.instance_count = stride;
+      if (filtered) ctx.filter = &filter;
+      const Selection scan = policy.Select(cache, ctx);
+      const Selection sel = index.Select(cache, ctx);
+      const std::size_t charge =
+          policy.indexed() ? IndexedCharge(policy, cache, ctx) : scan.examined;
+      EXPECT_EQ(sel.index, scan.index)
+          << where << " instance=" << instance << " filtered=" << filtered;
+      EXPECT_EQ(sel.examined, charge)
+          << where << " instance=" << instance << " filtered=" << filtered;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// Randomized equivalence on mutating caches: allocations, releases and
+// monitor-style load changes through Update, with occasional re-sorts
+// (a permutation of the cache followed by Rebuild), on caches from
+// idle to fully saturated.
+TEST(SchedulingIndex, MatchesLinearScanOnRandomTraces) {
   Rng rng(4242);
-  for (const char* name : {"least-load", "most-memory", "fastest"}) {
+  for (const char* name : kOrderedPolicies) {
     auto policy = MakePolicy(name);
     ASSERT_TRUE(policy.ok());
-    for (int trial = 0; trial < 60; ++trial) {
-      const std::uint32_t stride = 1 + rng.NextBounded(4);
-      const std::size_t n = 1 + rng.NextBounded(60);
+    const SchedulingPolicy& scan = **policy;
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::uint32_t stride = 1 + static_cast<std::uint32_t>(
+                                           rng.NextBounded(4));
+      const std::size_t n = 1 + rng.NextBounded(trial % 3 == 0 ? 400 : 40);
+      const double ineligible_share = 0.25 * static_cast<double>(trial % 5);
       std::vector<CacheEntry> cache;
-      for (std::size_t i = 0; i < n; ++i) cache.push_back(RandomEntry(rng));
-
-      SchedulingIndex index(policy->get(), 0, stride);
+      for (std::size_t i = 0; i < n; ++i) {
+        cache.push_back(RandomEntry(rng, ineligible_share));
+      }
+      SchedulingIndex index(&scan, 0, stride);
       index.Rebuild(cache);
-
-      std::function<bool(std::size_t, const CacheEntry&)> filter =
-          [](std::size_t i, const CacheEntry&) { return i % 5 != 3; };
-      for (std::uint32_t instance = 0; instance < stride; ++instance) {
-        SelectionContext ctx;
-        ctx.instance = instance;
-        ctx.instance_count = stride;
-        if (trial % 2 == 0) ctx.filter = &filter;
-        const Selection linear = (*policy)->Select(cache, ctx);
-        const Selection indexed = index.Select(cache, ctx);
-        EXPECT_EQ(indexed.index, linear.index)
-            << name << " trial=" << trial << " instance=" << instance;
-        EXPECT_EQ(indexed.found(), linear.found());
+      for (int step = 0; step < 40; ++step) {
+        ExpectIndexMatchesScan(scan, index, cache, stride,
+                               std::string(name) + " trial=" +
+                                   std::to_string(trial) + " step=" +
+                                   std::to_string(step));
+        if (::testing::Test::HasFailure()) return;
+        const double roll = rng.NextDouble();
+        if (roll < 0.05) {
+          // Re-sort: any permutation of the cache, then a rebuild.
+          for (std::size_t i = n; i > 1; --i) {
+            std::swap(cache[i - 1], cache[rng.NextBounded(i)]);
+          }
+          index.Rebuild(cache);
+          continue;
+        }
+        std::size_t target = rng.NextBounded(n);
+        if (roll < 0.5) {
+          SelectionContext ctx;
+          ctx.instance = static_cast<std::uint32_t>(rng.NextBounded(stride));
+          ctx.instance_count = stride;
+          const Selection chosen = scan.Select(cache, ctx);
+          if (chosen.found()) target = chosen.index;
+          cache[target].load += 1.0;  // allocate
+        } else if (roll < 0.75) {
+          cache[target].load = std::max(0.0, cache[target].load - 1.0);
+        } else {
+          cache[target] = RandomEntry(rng, ineligible_share);  // monitor
+        }
+        index.Update(cache, target);
       }
     }
   }
 }
 
-// Equivalence on a mutating trace: allocate/release load changes with
-// incremental Update() must keep the index's answers identical to the
-// linear scan — the "same allocations on the same trace" property.
-TEST(SchedulingIndex, TraceOfUpdatesStaysEquivalent) {
-  Rng rng(99);
-  auto policy = MakePolicy("least-load");
+// Edge shapes: a stride class with no eligible entry at all (the
+// instance must fall through to its siblings), and a class whose only
+// eligible entry sorts after every other entry of the class.
+TEST(SchedulingIndex, IneligibleAndLastSortingClasses) {
+  for (const char* name : kOrderedPolicies) {
+    auto policy = MakePolicy(name);
+    ASSERT_TRUE(policy.ok());
+    const SchedulingPolicy& scan = **policy;
+    std::vector<CacheEntry> cache;
+    for (int i = 0; i < 90; ++i) {
+      // Class 0 (i % 3 == 0): all at the ceiling. Class 1: only the
+      // worst-ranked entry (most loaded, least memory, slowest) is
+      // eligible. Class 2: all eligible.
+      CacheEntry entry = Entry(i % 3 == 2 ? 0.5 : 1.5, 512, 2.0);
+      if (i == 88) {
+        entry = Entry(3.5, 64, 0.5);
+        entry.num_cpus = 8;
+      }
+      cache.push_back(entry);
+    }
+    SchedulingIndex index(&scan, 0, 3);
+    index.Rebuild(cache);
+    ExpectIndexMatchesScan(scan, index, cache, 3, name);
+    SelectionContext ctx;
+    ctx.instance = 1;
+    ctx.instance_count = 3;
+    EXPECT_EQ(index.Select(cache, ctx).index, 88u) << name;
+  }
+}
+
+// A saturated pool: under least-load every overloaded 1-CPU machine
+// sorts ahead of the one eligible 8-CPU machine, so the search runs past
+// its budget and the reference scan answers, with the same result.
+TEST(SchedulingIndex, SaturatedLinearPoolKeepsTheScanAnswer) {
+  auto policy = MakePolicy("linear-least-load");
+  ASSERT_TRUE(policy.ok());
+  std::vector<CacheEntry> cache(2000, Entry(1.5));
+  cache[1999] = Entry(3.0);
+  cache[1999].num_cpus = 8;
+  SchedulingIndex index(policy->get(), 0, 1);
+  index.Rebuild(cache);
+  const Selection sel = index.Select(cache, SelectionContext{});
+  EXPECT_EQ(sel.index, 1999u);
+  EXPECT_EQ(sel.examined, 2000u);
+}
+
+// The linear-* charge needs no scan: the own stride class when the
+// answer lies in it, else the whole cache.
+TEST(SchedulingIndex, LinearChargeIsTheScanCount) {
+  auto policy = MakePolicy("linear-least-load");
   ASSERT_TRUE(policy.ok());
   std::vector<CacheEntry> cache;
-  for (int i = 0; i < 40; ++i) cache.push_back(RandomEntry(rng));
-  SchedulingIndex index(policy->get(), 1, 2);
+  for (int i = 0; i < 3200; ++i) cache.push_back(Entry(0.1));
+  SchedulingIndex index(policy->get(), 0, 2);
   index.Rebuild(cache);
-
-  std::vector<std::size_t> held;
   SelectionContext ctx;
   ctx.instance = 1;
   ctx.instance_count = 2;
-  for (int step = 0; step < 500; ++step) {
-    const Selection linear = (*policy)->Select(cache, ctx);
-    const Selection indexed = index.Select(cache, ctx);
-    ASSERT_EQ(indexed.index, linear.index) << "step " << step;
-    if (linear.found() && rng.Bernoulli(0.7)) {
-      cache[linear.index].load += 1.0;  // allocate
-      index.Update(cache, linear.index);
-      held.push_back(linear.index);
-    } else if (!held.empty()) {
-      const std::size_t h = rng.NextBounded(held.size());
-      cache[held[h]].load -= 1.0;  // release
-      index.Update(cache, held[h]);
-      held[h] = held.back();
-      held.pop_back();
-    }
+  Selection sel = index.Select(cache, ctx);
+  EXPECT_EQ(sel.index, 1u);
+  EXPECT_EQ(sel.examined, 1600u);
+  for (std::size_t i = 1; i < cache.size(); i += 2) {
+    cache[i].load = 5.0;
+    index.Update(cache, i);
   }
+  sel = index.Select(cache, ctx);
+  EXPECT_EQ(sel.index, 0u);
+  EXPECT_EQ(sel.examined, 3200u);
+  EXPECT_EQ(index.Select(std::vector<CacheEntry>{}, ctx).examined, 0u);
 }
 
 // The asymptotic win the refactor is for: a mostly-idle pool answers in
