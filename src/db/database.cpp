@@ -20,7 +20,7 @@ void ResourceDatabase::MarkDirtyLocked(MachineRecord& rec) {
   }
   if (journal_.size() >= kJournalCapacity) {
     // Drop the oldest half; consumers whose cursor predates the floor
-    // get a full-refresh signal from ChangesSince.
+    // get a full-refresh signal from ForEachChangeSince.
     const std::size_t keep = kJournalCapacity / 2;
     journal_floor_ = journal_[journal_.size() - keep - 1].first;
     journal_.erase(journal_.begin(),
@@ -36,20 +36,14 @@ std::uint64_t ResourceDatabase::version() const {
 
 std::optional<std::uint64_t> ResourceDatabase::ChangesSince(
     std::uint64_t since, std::vector<MachineId>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (since < journal_floor_) return std::nullopt;
-  const auto begin = std::upper_bound(
-      journal_.begin(), journal_.end(), since,
-      [](std::uint64_t v, const auto& entry) { return v < entry.first; });
   const std::size_t mark = out->size();
-  for (auto it = begin; it != journal_.end(); ++it) {
-    out->push_back(it->second);
-  }
+  const auto cursor =
+      ForEachChangeSince(since, [out](MachineId id) { out->push_back(id); });
   std::sort(out->begin() + static_cast<std::ptrdiff_t>(mark), out->end());
   out->erase(std::unique(out->begin() + static_cast<std::ptrdiff_t>(mark),
                          out->end()),
              out->end());
-  return version_;
+  return cursor;
 }
 
 MachineRecord* ResourceDatabase::FindLocked(MachineId id) const {

@@ -13,6 +13,7 @@
 // the largest id.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -71,7 +72,7 @@ class ResourceDatabase {
   [[nodiscard]] std::vector<MachineId> ListTakenBy(
       const std::string& pool_name) const;
 
-  // Visitor contract (ForEach, VisitRecords): records are visited in
+  // Visitor contract (ForEach, VisitRecords, ForEachChangeSince): records are visited in
   // place, without copies, while the database lock is held. The
   // callback must not call back into the database (it would deadlock)
   // and must not keep a reference or pointer to a record past its
@@ -83,17 +84,30 @@ class ResourceDatabase {
 
   // --- change tracking (dirty-id refresh) ---
   // Every mutation bumps a global version, stamps it on the record, and
-  // appends the id to a bounded change journal. Consumers poll
-  // ChangesSince with their cursor to learn which records changed,
-  // making refresh cost proportional to churn instead of fleet size.
+  // appends the id to a bounded change journal. Consumers poll with
+  // their cursor to learn which records changed, making refresh cost
+  // proportional to churn instead of fleet size.
 
   // Version of the most recent mutation (0 = pristine database).
   [[nodiscard]] std::uint64_t version() const;
 
-  // Appends the ids of records mutated after `since` to `out`
-  // (ascending, deduplicated) and returns the new cursor. Returns
-  // nullopt when `since` predates the retained journal window — the
-  // caller must fall back to a full sweep and re-cursor at version().
+  // The journal reader: calls fn(id) for every journal entry after
+  // `since`, oldest first, in place under the lock (the visitor contract
+  // below applies). An id repeats once per entry: consecutive writes to
+  // one record share an entry, interleaved writes do not. Returns the
+  // new cursor, or nullopt (calling fn for nothing) when `since`
+  // predates the retained journal window — the caller must fall back to
+  // a full sweep and re-cursor at version().
+  template <typename Fn>
+  std::optional<std::uint64_t> ForEachChangeSince(std::uint64_t since,
+                                                  Fn&& fn) const;
+
+  // Entries the change journal retains before it drops its oldest half:
+  // a cursor more than this many writes old can fall below its floor.
+  static constexpr std::size_t kJournalCapacity = 1 << 16;
+
+  // ForEachChangeSince collected into `out` (appended, ascending,
+  // deduplicated).
   [[nodiscard]] std::optional<std::uint64_t> ChangesSince(
       std::uint64_t since, std::vector<MachineId>* out) const;
 
@@ -155,10 +169,21 @@ class ResourceDatabase {
   // order. Bounded: when it outgrows kJournalCapacity the oldest half
   // is dropped and journal_floor_ records the last discarded version,
   // so stale cursors are detected instead of silently missing changes.
-  static constexpr std::size_t kJournalCapacity = 1 << 16;
   std::uint64_t version_ = 0;
   std::uint64_t journal_floor_ = 0;
   std::vector<std::pair<std::uint64_t, MachineId>> journal_;
 };
+
+template <typename Fn>
+std::optional<std::uint64_t> ResourceDatabase::ForEachChangeSince(
+    std::uint64_t since, Fn&& fn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (since < journal_floor_) return std::nullopt;
+  auto it = std::upper_bound(
+      journal_.begin(), journal_.end(), since,
+      [](std::uint64_t v, const auto& entry) { return v < entry.first; });
+  for (; it != journal_.end(); ++it) fn(it->second);
+  return version_;
+}
 
 }  // namespace actyp::db

@@ -14,6 +14,38 @@ namespace {
 constexpr double kUnusableLoad = 1e18;
 }  // namespace
 
+void ResourcePool::SlotIndex::Build(const std::vector<db::MachineId>& ids) {
+  // The bitmap stops at 64 bits per owned id, so a pool of a few
+  // machines spread over a large fleet pays for its ids, not the fleet's.
+  const std::uint64_t end =
+      ids.empty() ? 0
+                  : std::min<std::uint64_t>(std::uint64_t{ids.back()} + 1,
+                                            64 * (ids.size() + 1));
+  words_.assign((end + 63) / 64, 0);
+  bits_end_ = 64 * words_.size();
+  rank_.assign(words_.size(), 0);
+  above_.clear();
+  for (const db::MachineId id : ids) {
+    if (id < bits_end_) {
+      words_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    } else {
+      above_.push_back(id);
+    }
+  }
+  std::uint32_t count = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    rank_[w] = count;
+    count += static_cast<std::uint32_t>(std::popcount(words_[w]));
+  }
+  above_first_slot_ = count;
+}
+
+std::size_t ResourcePool::SlotIndex::FindAbove(db::MachineId id) const {
+  const auto it = std::lower_bound(above_.begin(), above_.end(), id);
+  if (it == above_.end() || *it != id) return kNone;
+  return above_first_slot_ + static_cast<std::size_t>(it - above_.begin());
+}
+
 ResourcePool::ResourcePool(ResourcePoolConfig config,
                            db::ResourceDatabase* database,
                            directory::DirectoryApi* directory,
@@ -55,11 +87,10 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
 
   cache_.clear();
   meta_.clear();
-  cache_ids_.clear();
-  id_index_.clear();
+  slot_ids_.clear();
   cache_.reserve(ids.size());
   meta_.reserve(ids.size());
-  cache_ids_.reserve(ids.size());
+  slot_ids_.reserve(ids.size());
   any_user_groups_ = false;
   any_usage_policy_ = false;
   // Cursor first, read second: changes landing between the two are
@@ -78,9 +109,8 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     entry.max_allowed_load = rec->max_allowed_load;
     entry.active_jobs = 0;
     entry.updated = rec->dyn.last_update;
-    id_index_[rec->id] = cache_.size();
     cache_.push_back(std::move(entry));
-    cache_ids_.push_back(rec->id);
+    slot_ids_.push_back(rec->id);
 
     EntryMeta meta;
     meta.name = rec->name;
@@ -92,6 +122,19 @@ void ResourcePool::Initialize(net::NodeContext& ctx) {
     any_usage_policy_ |= !meta.usage_policy.empty();
     meta_.push_back(std::move(meta));
   });
+  // Slots follow the claim order, which is ascending id.
+  const std::size_t n = cache_.size();
+  slots_.Build(slot_ids_);
+  pos_slot_.resize(n);
+  slot_pos_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) pos_slot_[i] = slot_pos_[i] = i;
+  fetch_seen_.assign(n, 0);
+  marked_.clear();
+  is_marked_.assign(n, 0);
+  if (!policy_->indexed()) {
+    // The first Resort sorts everything.
+    for (std::size_t i = 0; i < n; ++i) Mark(i);
+  }
   if (index_) index_->Rebuild(cache_);
 
   initialized_ = true;
@@ -209,7 +252,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
       (policies_ != nullptr && any_usage_policy_);
   auto meta_allows = [this, &access_group, &access_group_lower](
                          std::size_t i, const sched::CacheEntry& entry) {
-    const EntryMeta& meta = meta_[i];
+    const EntryMeta& meta = meta_[pos_slot_[i]];
     if (!meta.user_groups.empty() && !access_group_lower.empty()) {
       const bool allowed =
           std::any_of(meta.user_groups.begin(), meta.user_groups.end(),
@@ -357,16 +400,16 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     for (const std::size_t index : picked) {
       cache_[index].active_jobs += 1;
       cache_[index].load += 1.0;
-      TouchIndex(index);
+      Touch(index);
     }
   }
 
-  const std::size_t primary = picked.front();
-  sched::CacheEntry& chosen = cache_[primary];
+  const sched::CacheEntry& chosen = cache_[picked.front()];
+  const EntryMeta& primary = meta_[pos_slot_[picked.front()]];
   Allocation allocation;
-  allocation.machine_name = meta_[primary].name;
+  allocation.machine_name = primary.name;
   allocation.machine_id = chosen.id;
-  allocation.port = meta_[primary].execution_port;
+  allocation.port = primary.execution_port;
   allocation.session_key = session_key;
   allocation.pool_name = config_.pool_name;
   allocation.pool_address = ctx.self();
@@ -375,8 +418,8 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
   allocation.fragment_index = frag_index;
   allocation.fragment_total = frag_total;
 
-  if (shadows_ != nullptr && !meta_[primary].shadow_pool.empty()) {
-    auto* pool = shadows_->Find(meta_[primary].shadow_pool);
+  if (shadows_ != nullptr && !primary.shadow_pool.empty()) {
+    auto* pool = shadows_->Find(primary.shadow_pool);
     if (pool != nullptr) {
       auto uid = pool->Acquire(allocation.session_key);
       if (uid.ok()) {
@@ -386,13 +429,17 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
     }
   }
 
-  session_entry_[allocation.session_key] = picked;
+  std::vector<std::uint32_t>& session_slots =
+      session_entry_[allocation.session_key];
+  session_slots.clear();
+  for (const std::size_t index : picked) {
+    session_slots.push_back(pos_slot_[index]);
+  }
   ++stats_.allocations;
   if (config_.recorder != nullptr) {
     config_.recorder->Record(ctx.Now(), obs::FlightKind::kPoolClaim,
                              request_id, ctx.self(),
-                             config_.pool_name + " -> " +
-                                 meta_[primary].name);
+                             config_.pool_name + " -> " + primary.name);
   }
   if (!reply_to.empty()) {
     net::Message out = MakeAllocationMessage(allocation);
@@ -406,7 +453,7 @@ void ResourcePool::HandleQuery(const net::Envelope& envelope,
       std::vector<std::string> names;
       names.reserve(picked.size());
       for (const std::size_t index : picked) {
-        names.push_back(meta_[index].name);
+        names.push_back(meta_[pos_slot_[index]].name);
       }
       out.SetHeader("machines", Join(names, ","));
     }
@@ -431,11 +478,12 @@ void ResourcePool::HandleRelease(const net::Envelope& envelope,
     // Cancelling a booking frees the future window, not present load.
     reservations_.Cancel(session);
   } else {
-    for (const std::size_t index : it->second) {
-      sched::CacheEntry& entry = cache_[index];
+    for (const std::uint32_t slot : it->second) {
+      const std::size_t pos = slot_pos_[slot];
+      sched::CacheEntry& entry = cache_[pos];
       entry.active_jobs = std::max(0, entry.active_jobs - 1);
       entry.load = std::max(0.0, entry.load - 1.0);
-      TouchIndex(index);
+      Touch(pos);
     }
   }
 
@@ -460,8 +508,8 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
   if (policy_->indexed()) {
     // Indexed policies never reorder the cache. The dirty-id refresh
     // already re-positioned each touched entry in O(log n), so the tick
-    // costs O(changed machines); only a full sweep (legacy mode or a
-    // stale cursor) pays the O(n) heapify inside RefreshFromDatabase.
+    // costs O(changed machines); only a full sweep (a stale cursor) pays
+    // the O(n) heapify inside RefreshFromDatabase.
     ctx.Consume(config_.costs.pool_sort_per_machine *
                 static_cast<SimDuration>(refreshed));
   } else {
@@ -473,9 +521,8 @@ void ResourcePool::HandleTick(net::NodeContext& ctx) {
   ctx.ScheduleSelf(config_.resort_period, net::Message{net::msg::kTick});
 }
 
-void ResourcePool::ApplyRecord(std::size_t index,
-                               const db::MachineRecord& rec) {
-  sched::CacheEntry& entry = cache_[index];
+void ResourcePool::ApplyRecord(std::size_t pos, const db::MachineRecord& rec) {
+  sched::CacheEntry& entry = cache_[pos];
   if (!rec.IsUsable()) {
     // The machine went down or was blocked since the last sweep: make
     // it unselectable (by any policy, including the oversubscribe
@@ -492,87 +539,107 @@ void ResourcePool::ApplyRecord(std::size_t index,
 
 std::size_t ResourcePool::RefreshFromDatabase() {
   ++stats_.refresh_ticks;
-  if (config_.incremental_refresh) {
-    dirty_ids_.clear();
-    if (const auto cursor = database_->ChangesSince(db_cursor_, &dirty_ids_)) {
-      db_cursor_ = *cursor;
-      // Only dirty ids that live in this pool's cache are fetched; the
-      // common quiet tick touches nothing at all.
-      fetch_ids_.clear();
-      fetch_index_.clear();
-      for (const db::MachineId id : dirty_ids_) {
-        const auto it = id_index_.find(id);
-        if (it == id_index_.end()) continue;
-        fetch_ids_.push_back(id);
-        fetch_index_.push_back(it->second);
-      }
-      if (!fetch_ids_.empty()) {
-        database_->VisitRecords(
-            fetch_ids_, [this](std::size_t i, const db::MachineRecord* rec) {
-              if (rec == nullptr) return;
-              ApplyRecord(fetch_index_[i], *rec);
-            });
-        for (const std::size_t index : fetch_index_) TouchIndex(index);
-      }
-      stats_.entries_refreshed += fetch_ids_.size();
-      return fetch_ids_.size();
-    }
-    // Cursor predates the db's retained change journal: re-anchor and
-    // fall through to one full sweep.
-    db_cursor_ = database_->version();
-  }
-  // Legacy path: one locked sweep over every cached record, no copies.
-  database_->VisitRecords(
-      cache_ids_, [this](std::size_t i, const db::MachineRecord* rec) {
-        if (rec != nullptr) ApplyRecord(i, *rec);
+  // One pass over the journal entries after the cursor, in place: only
+  // this pool's ids are kept, once each.
+  fetch_slots_.clear();
+  const auto cursor =
+      database_->ForEachChangeSince(db_cursor_, [this](db::MachineId id) {
+        const std::size_t slot = slots_.Find(id);
+        if (slot == SlotIndex::kNone || fetch_seen_[slot] != 0) return;
+        fetch_seen_[slot] = 1;
+        fetch_slots_.push_back(static_cast<std::uint32_t>(slot));
       });
-  if (index_) index_->Rebuild(cache_);
+  if (cursor.has_value()) {
+    db_cursor_ = *cursor;
+    if (!fetch_slots_.empty()) {
+      fetch_ids_.clear();
+      for (const std::uint32_t slot : fetch_slots_) {
+        fetch_ids_.push_back(slot_ids_[slot]);
+        fetch_seen_[slot] = 0;
+      }
+      // A re-sorting pool leaves its index stale for the Resort that
+      // follows to rebuild: a per-entry update would be wasted.
+      database_->VisitRecords(
+          fetch_ids_, [this](std::size_t i, const db::MachineRecord* rec) {
+            if (rec == nullptr) return;
+            const std::size_t pos = slot_pos_[fetch_slots_[i]];
+            ApplyRecord(pos, *rec);
+            if (policy_->indexed()) {
+              index_->Update(cache_, pos);
+            } else {
+              Mark(pos);
+            }
+          });
+      index_stale_ = !policy_->indexed();
+    }
+    stats_.entries_refreshed += fetch_slots_.size();
+    return fetch_slots_.size();
+  }
+  // The cursor predates the db's retained change journal: re-anchor and
+  // sweep every cached record once.
+  db_cursor_ = database_->version();
+  database_->VisitRecords(
+      slot_ids_, [this](std::size_t slot, const db::MachineRecord* rec) {
+        if (rec != nullptr) ApplyRecord(slot_pos_[slot], *rec);
+      });
+  if (policy_->indexed()) {
+    index_->Rebuild(cache_);
+  } else {
+    for (std::size_t pos = 0; pos < cache_.size(); ++pos) Mark(pos);
+    index_stale_ = true;
+  }
   stats_.entries_refreshed += cache_.size();
   return cache_.size();
 }
 
-void ResourcePool::TouchIndex(std::size_t index) {
-  if (index_) index_->Update(cache_, index);
+void ResourcePool::Touch(std::size_t pos) {
+  if (index_) index_->Update(cache_, pos);
+  if (!policy_->indexed()) Mark(pos);
+}
+
+void ResourcePool::Mark(std::size_t pos) {
+  if (is_marked_[pos] != 0) return;
+  is_marked_[pos] = 1;
+  marked_.push_back(static_cast<std::uint32_t>(pos));
 }
 
 void ResourcePool::Resort(net::NodeContext& ctx) {
   ctx.Consume(config_.costs.pool_sort_per_machine *
               static_cast<SimDuration>(cache_.size()));
-  // Sort cache and keep meta/session maps consistent via an index
-  // permutation; the permutation buffers persist across ticks.
-  sort_order_.resize(cache_.size());
-  for (std::size_t i = 0; i < sort_order_.size(); ++i) sort_order_[i] = i;
-  std::stable_sort(sort_order_.begin(), sort_order_.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return policy_->Better(cache_[a], cache_[b]);
-                   });
-  const bool identity =
-      std::is_sorted(sort_order_.begin(), sort_order_.end());
-  if (identity) return;  // already in objective order; nothing to move
-
-  std::vector<sched::CacheEntry> new_cache;
-  std::vector<EntryMeta> new_meta;
-  std::vector<db::MachineId> new_ids;
-  new_cache.reserve(cache_.size());
-  new_meta.reserve(meta_.size());
-  new_ids.reserve(cache_ids_.size());
-  sort_new_index_.resize(cache_.size());
-  for (std::size_t rank = 0; rank < sort_order_.size(); ++rank) {
-    sort_new_index_[sort_order_[rank]] = rank;
-    new_cache.push_back(std::move(cache_[sort_order_[rank]]));
-    new_meta.push_back(std::move(meta_[sort_order_[rank]]));
-    new_ids.push_back(cache_ids_[sort_order_[rank]]);
+  // Unmarked entries are still in order: nothing marked, nothing moves.
+  if (marked_.empty()) return;
+  for (const std::uint32_t pos : marked_) is_marked_[pos] = 0;
+  const bool moved =
+      sched::StableResortOrder(*policy_, cache_, &marked_, &sort_order_);
+  marked_.clear();
+  if (moved) {
+    // Apply the permutation in place, one cycle at a time: position j
+    // takes the entry at sort_order_[j], which is then reset to j so a
+    // later start skips the finished cycle. Only cache_ and the two
+    // position <-> slot maps move.
+    for (std::uint32_t start = 0; start < sort_order_.size(); ++start) {
+      if (sort_order_[start] == start) continue;
+      const sched::CacheEntry entry = cache_[start];
+      const std::uint32_t slot = pos_slot_[start];
+      std::uint32_t j = start;
+      for (std::uint32_t from = sort_order_[j]; from != start;
+           from = sort_order_[j]) {
+        cache_[j] = cache_[from];
+        pos_slot_[j] = pos_slot_[from];
+        slot_pos_[pos_slot_[j]] = j;
+        sort_order_[j] = j;
+        j = from;
+      }
+      cache_[j] = entry;
+      pos_slot_[j] = slot;
+      slot_pos_[slot] = j;
+      sort_order_[j] = j;
+    }
   }
-  cache_ = std::move(new_cache);
-  meta_ = std::move(new_meta);
-  cache_ids_ = std::move(new_ids);
-  for (auto& [session, indices] : session_entry_) {
-    for (auto& index : indices) index = sort_new_index_[index];
-  }
-  for (std::size_t i = 0; i < cache_ids_.size(); ++i) {
-    id_index_[cache_ids_[i]] = i;
-  }
-  if (index_) index_->Rebuild(cache_);
+  // Allocations and releases kept the index current; a move or the
+  // refresh's skipped updates need a rebuild.
+  if (index_ && (moved || index_stale_)) index_->Rebuild(cache_);
+  index_stale_ = false;
 }
 
 std::string ResourcePool::MakeSessionKey(net::NodeContext& ctx) {

@@ -40,7 +40,68 @@ Selection LinearSelect(const Policy& policy,
   return result;
 }
 
+// StableResortOrder for one concrete policy type, so Better inlines.
+// Both inputs are sorted by (Better, position): the marked entries by
+// std::sort, the unmarked run by precondition, ascending positions. The
+// unmarked run is first compacted into the tail of `order`; the merge
+// then fills `order` from the front and never overtakes its read point.
+template <typename Policy>
+bool MergeResortOrder(const Policy& policy,
+                      const std::vector<CacheEntry>& cache,
+                      std::vector<std::uint32_t>* marked,
+                      std::vector<std::uint32_t>* order) {
+  std::vector<std::uint32_t>& m = *marked;
+  std::vector<std::uint32_t>& out = *order;
+  const std::size_t n = cache.size();
+  const std::size_t k = m.size();
+  out.resize(n);
+  std::sort(m.begin(), m.end());
+  std::size_t tail = k;
+  for (std::uint32_t p = 0, next = 0; p < n; ++p) {
+    if (next < k && m[next] == p) {
+      ++next;
+    } else {
+      out[tail++] = p;
+    }
+  }
+  // (Better, position) order: a strict total order on positions.
+  auto before = [&policy, &cache](std::uint32_t a, std::uint32_t b) {
+    if (policy.Better(cache[a], cache[b])) return true;
+    if (policy.Better(cache[b], cache[a])) return false;
+    return a < b;
+  };
+  std::sort(m.begin(), m.end(), before);
+  std::size_t i = 0, j = k, r = 0;
+  bool moved = false;
+  for (; i < k && j < n; ++r) {
+    out[r] = before(m[i], out[j]) ? m[i++] : out[j++];
+    moved |= out[r] != r;
+  }
+  for (; i < k; ++r) {
+    out[r] = m[i++];
+    moved |= out[r] != r;
+  }
+  // The rest of the unmarked run is already in place (j == r).
+  return moved;
+}
+
 }  // namespace
+
+bool StableResortOrder(const SchedulingPolicy& policy,
+                       const std::vector<CacheEntry>& cache,
+                       std::vector<std::uint32_t>* marked,
+                       std::vector<std::uint32_t>* order) {
+  if (const auto* p = dynamic_cast<const LeastLoadPolicy*>(&policy)) {
+    return MergeResortOrder(*p, cache, marked, order);
+  }
+  if (const auto* p = dynamic_cast<const MostMemoryPolicy*>(&policy)) {
+    return MergeResortOrder(*p, cache, marked, order);
+  }
+  if (const auto* p = dynamic_cast<const FastestPolicy*>(&policy)) {
+    return MergeResortOrder(*p, cache, marked, order);
+  }
+  return MergeResortOrder(policy, cache, marked, order);
+}
 
 Selection SchedulingPolicy::Select(const std::vector<CacheEntry>& cache,
                                    const SelectionContext& ctx) const {

@@ -171,6 +171,21 @@ class RandomPolicy final : public SchedulingPolicy {
                                  const SelectionContext& ctx) const override;
 };
 
+// The permutation std::stable_sort by policy.Better would apply to
+// `cache`, computed from what changed since the cache was last in that
+// order: `marked` holds the positions of the entries that changed (any
+// order, no repeats; it is reordered in place), and every other entry
+// must still be in stable Better order relative to the rest of them.
+// The unmarked run is merged with the marked entries sorted by (Better,
+// position), so a re-sort costs O(k log k + n) for k marked entries;
+// with every position marked it is a full sort. Writes order[r] = the
+// current position of the entry that belongs at position r, and returns
+// false when that is the identity.
+bool StableResortOrder(const SchedulingPolicy& policy,
+                       const std::vector<CacheEntry>& cache,
+                       std::vector<std::uint32_t>* marked,
+                       std::vector<std::uint32_t>* order);
+
 // Factory by name. Indexed: "least-load", "most-memory", "fastest".
 // The paper's linear model: "linear-least-load", "linear-most-memory",
 // "linear-fastest". Unordered: "round-robin", "random".

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -512,6 +513,138 @@ TEST(ResourceDatabase, StaleCursorSignalsFullRefresh) {
   const auto cursor = database.ChangesSince(database.version(), &dirty);
   ASSERT_TRUE(cursor.has_value());
   EXPECT_EQ(*cursor, database.version());
+}
+
+// The journal reader walks entries in place, oldest first: one entry
+// per run of writes to a record (the tail coalesces), repeats for
+// interleaved writes. ChangesSince is the same walk, sorted and unique.
+TEST(ResourceDatabase, JournalWalkRepeatsInterleavedWritesOnly) {
+  ResourceDatabase database;
+  std::vector<MachineId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(*database.Add(SampleMachine("m" + std::to_string(i))));
+  }
+  const std::uint64_t since = database.version();
+  for (const int i : {2, 2, 2, 0, 2, 0, 0}) {
+    ASSERT_TRUE(database.UpdateDynamic(ids[i], DynamicState{}).ok());
+  }
+  std::vector<MachineId> walked;
+  const auto cursor = database.ForEachChangeSince(
+      since, [&walked](MachineId id) { walked.push_back(id); });
+  ASSERT_TRUE(cursor.has_value());
+  EXPECT_EQ(*cursor, database.version());
+  EXPECT_EQ(walked, (std::vector<MachineId>{ids[2], ids[0], ids[2], ids[0]}));
+
+  std::vector<MachineId> dirty;
+  ASSERT_TRUE(database.ChangesSince(since, &dirty).has_value());
+  EXPECT_EQ(dirty, (std::vector<MachineId>{ids[0], ids[2]}));
+}
+
+// A consumer that keeps only the ids it owns (a pool) still moves its
+// cursor past every other owner's entries: the next walk starts after
+// them and sees only what came later.
+TEST(ResourceDatabase, JournalWalkPassesIdsTheVisitorDoesNotOwn) {
+  ResourceDatabase database;
+  for (int i = 0; i < 6; ++i) {
+    database.Add(SampleMachine("m" + std::to_string(i)));
+  }
+  auto q = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(q.ok());
+  const std::vector<MachineId> mine = database.ClaimMatching(*q, "poolA", 2);
+  const std::vector<MachineId> theirs = database.ClaimMatching(*q, "poolB");
+  ASSERT_EQ(mine.size(), 2u);
+  ASSERT_EQ(theirs.size(), 4u);
+  std::uint64_t cursor = database.version();
+  for (const MachineId id : {theirs[0], mine[1], theirs[3], mine[1]}) {
+    ASSERT_TRUE(database.UpdateDynamic(id, DynamicState{}).ok());
+  }
+  auto owned_since = [&](std::uint64_t since, std::uint64_t* next) {
+    std::vector<MachineId> owned;
+    std::size_t visited = 0;
+    const auto got = database.ForEachChangeSince(since, [&](MachineId id) {
+      ++visited;
+      if (std::find(mine.begin(), mine.end(), id) != mine.end()) {
+        owned.push_back(id);
+      }
+    });
+    EXPECT_TRUE(got.has_value());
+    *next = got.value_or(0);
+    return std::make_pair(owned, visited);
+  };
+  auto [owned, visited] = owned_since(cursor, &cursor);
+  EXPECT_EQ(owned, (std::vector<MachineId>{mine[1], mine[1]}));
+  EXPECT_EQ(visited, 4u);
+
+  ASSERT_TRUE(database.UpdateDynamic(theirs[2], DynamicState{}).ok());
+  std::tie(owned, visited) = owned_since(cursor, &cursor);
+  EXPECT_TRUE(owned.empty());
+  EXPECT_EQ(visited, 1u);
+  std::tie(owned, visited) = owned_since(cursor, &cursor);
+  EXPECT_EQ(visited, 0u);
+}
+
+// More than kJournalCapacity writes after a cursor push it below the
+// journal floor: the walk reports nullopt without visiting anything,
+// and a cursor re-anchored at version() walks again.
+TEST(ResourceDatabase, JournalWalkRejectsAStaleCursor) {
+  ResourceDatabase database;
+  const MachineId a = *database.Add(SampleMachine("a"));
+  const MachineId b = *database.Add(SampleMachine("b"));
+  const std::uint64_t stale = database.version();
+  std::vector<std::pair<MachineId, DynamicState>> batch;
+  for (std::size_t i = 0; i <= ResourceDatabase::kJournalCapacity; ++i) {
+    batch.emplace_back(i % 2 == 0 ? a : b, DynamicState{});
+  }
+  database.ApplyDynamic(batch);
+  std::size_t visited = 0;
+  EXPECT_FALSE(database
+                   .ForEachChangeSince(stale, [&visited](MachineId) {
+                     ++visited;
+                   })
+                   .has_value());
+  EXPECT_EQ(visited, 0u);
+  std::vector<MachineId> dirty;
+  EXPECT_FALSE(database.ChangesSince(stale, &dirty).has_value());
+  EXPECT_TRUE(dirty.empty());
+
+  const std::uint64_t fresh = database.version();
+  ASSERT_TRUE(database.UpdateDynamic(b, DynamicState{}).ok());
+  std::vector<MachineId> walked;
+  ASSERT_TRUE(database
+                  .ForEachChangeSince(fresh, [&walked](MachineId id) {
+                    walked.push_back(id);
+                  })
+                  .has_value());
+  EXPECT_EQ(walked, (std::vector<MachineId>{b}));
+}
+
+// Ids far above the dense range (kept in the sparse part of the id
+// index) are journaled like any other.
+TEST(ResourceDatabase, JournalWalkCoversSparseIds) {
+  ResourceDatabase database;
+  std::vector<MachineId> ids;
+  for (const MachineId id : {MachineId{3}, MachineId{1000000},
+                             MachineId{0xFFFFFFFF}, MachineId{70000}}) {
+    MachineRecord rec = SampleMachine("m" + std::to_string(id));
+    rec.id = id;
+    ASSERT_TRUE(database.Add(std::move(rec)).ok());
+    ids.push_back(id);
+  }
+  std::vector<MachineId> walked;
+  ASSERT_TRUE(database
+                  .ForEachChangeSince(0, [&walked](MachineId id) {
+                    walked.push_back(id);
+                  })
+                  .has_value());
+  EXPECT_EQ(walked, ids);  // insertion order
+
+  const std::uint64_t since = database.version();
+  database.ApplyDynamic({{0xFFFFFFFF, DynamicState{}},
+                         {1000000, DynamicState{}},
+                         {3, DynamicState{}}});
+  std::vector<MachineId> dirty;
+  ASSERT_TRUE(database.ChangesSince(since, &dirty).has_value());
+  EXPECT_EQ(dirty, (std::vector<MachineId>{3, 1000000, 0xFFFFFFFF}));
 }
 
 TEST(ResourceDatabase, ApplyDynamicBatchesAndJournals) {

@@ -475,17 +475,22 @@ TEST(PoolPolicyEquivalence, IndexedMatchesLinearOnSameTrace) {
 }
 
 // The dirty-id incremental refresh must leave the pool indistinguishable
-// from the legacy full sweep: same allocations on the same randomized
-// schedule of monitor sweeps, direct white-pages updates, machine
-// down/up churn, and interleaved queries/releases — while re-reading
-// only the records that actually changed.
+// from the full sweep: same allocations on the same randomized schedule
+// of monitor sweeps, direct white-pages updates, machine down/up churn,
+// and interleaved queries/releases — while re-reading only the records
+// that actually changed. The full sweep is forced through its real
+// trigger: before every step, more than the journal's capacity of
+// writes to two machines outside the pool push each pool's cursor below
+// the journal floor. The linear-* case runs two replicas over one
+// machine set, so sessions (one of them a co-allocation) are released
+// after re-sorts have moved their entries.
 TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
   struct RunResult {
     std::vector<std::string> allocations;
-    std::uint64_t entries_refreshed = 0;
-    std::uint64_t refresh_ticks = 0;
+    std::vector<PoolStats> stats;
   };
-  auto run = [](bool incremental) {
+  auto run = [](const std::string& policy, std::uint32_t instances,
+                bool flood) {
     simnet::SimKernel kernel;
     simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
     network.AddHost("alpha", 12);
@@ -500,9 +505,17 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       db::MachineRecord rec;
       rec.name = "sun" + std::to_string(i);
       rec.params["arch"] = "sun";
+      rec.num_cpus = (i % 4 == 1) ? 2 : 1;
       rec.dyn.load = 0.05 * static_cast<double>(i % 9);
       rec.dyn.available_memory_mb = 256;
       ids.push_back(*database.Add(std::move(rec)));
+    }
+    std::vector<db::MachineId> outside;
+    for (int i = 0; i < 2; ++i) {
+      db::MachineRecord rec;
+      rec.name = "hp" + std::to_string(i);
+      rec.params["arch"] = "hp";
+      outside.push_back(*database.Add(std::move(rec)));
     }
     monitor::MonitorConfig mon_config;
     mon_config.update_period = Seconds(2);
@@ -510,23 +523,45 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
 
     auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
     EXPECT_TRUE(criteria.ok());
-    ResourcePoolConfig config;
-    config.criteria = *criteria;
-    config.pool_name = criteria->PoolName();
-    config.policy = "least-load";
-    config.resort_period = Seconds(1);
-    config.incremental_refresh = incremental;
-    auto pool = std::make_shared<ResourcePool>(config, &database, &directory,
-                                               &shadows, &policies);
-    network.AddNode("pool0", pool, {"alpha", 1});
+    std::vector<std::shared_ptr<ResourcePool>> pools;
+    for (std::uint32_t instance = 0; instance < instances; ++instance) {
+      ResourcePoolConfig config;
+      config.criteria = *criteria;
+      config.pool_name = criteria->PoolName();
+      config.policy = policy;
+      config.instance = instance;
+      config.instance_count = instances;
+      config.resort_period = Seconds(1);
+      pools.push_back(std::make_shared<ResourcePool>(
+          config, &database, &directory, &shadows, &policies));
+      network.AddNode("pool" + std::to_string(instance), pools.back(),
+                      {"alpha", 1});
+    }
+
+    // Rewrites of the outside machines' own dynamic state: only their
+    // versions move. Alternating ids keeps each write its own entry.
+    std::vector<std::pair<db::MachineId, db::DynamicState>> flood_batch;
+    if (flood) {
+      for (std::size_t i = 0; i <= db::ResourceDatabase::kJournalCapacity;
+           ++i) {
+        const db::MachineId id = outside[i % 2];
+        flood_batch.emplace_back(id, database.Get(id)->dyn);
+      }
+    }
 
     Rng churn(4242);  // same schedule for both modes
     RunResult result;
-    std::vector<std::pair<db::MachineId, std::string>> held;
+    struct Held {
+      std::string pool;
+      db::MachineId id;
+      std::string session;
+    };
+    std::vector<Held> held;
     std::vector<db::MachineId> down;
-    std::uint64_t request_id = 1;
+    std::size_t seen = 0;
     for (int step = 0; step < 60; ++step) {
       const SimTime now = Seconds(0.7 * (step + 1));
+      if (flood) database.ApplyDynamic(flood_batch);
       // Random churn against the white pages: load nudges, machines
       // flipping down and back up, periodic monitor sweeps.
       if (churn.NextDouble() < 0.4) {
@@ -551,41 +586,58 @@ TEST(PoolRefreshEquivalence, IncrementalMatchesFullSweepUnderChurn) {
       }
       if (step % 3 == 0) monitor.Step(now);
 
+      const std::string pool = "pool" + std::to_string(step % instances);
       net::Message query{net::msg::kQuery};
       query.SetHeader(net::hdr::kReplyTo, "probe");
-      query.SetHeader(net::hdr::kRequestId, std::to_string(request_id++));
-      query.body = "punch.rsrc.arch = sun\n";
-      network.Post("probe", "pool0", std::move(query));
+      query.SetHeader(net::hdr::kRequestId, std::to_string(step + 1));
+      query.body = step == 20 ? "punch.rsrc.arch = sun\npunch.appl.count = 2\n"
+                              : "punch.rsrc.arch = sun\n";
+      network.Post("probe", pool, std::move(query));
       kernel.RunUntil(now);
-      if (const auto* m = probe->last(net::msg::kAllocation)) {
-        result.allocations.push_back(m->Header(net::hdr::kMachine));
-        db::MachineId id = 0;
-        if (auto parsed = ParseInt(m->Header(net::hdr::kMachineId))) {
-          id = static_cast<db::MachineId>(*parsed);
-        }
-        held.emplace_back(id, m->Header(net::hdr::kSessionKey));
+      for (; seen < probe->messages.size(); ++seen) {
+        const net::Message& m = probe->messages[seen];
+        if (m.type != net::msg::kAllocation) continue;
+        result.allocations.push_back(m.HasHeader("machines")
+                                         ? m.Header("machines")
+                                         : m.Header(net::hdr::kMachine));
+        const auto id = ParseInt(m.Header(net::hdr::kMachineId));
+        held.push_back(Held{pool, static_cast<db::MachineId>(id.value_or(0)),
+                            m.Header(net::hdr::kSessionKey)});
       }
       if (held.size() > 4) {
-        const auto [id, session] = held.front();
+        network.Post("probe", held.front().pool,
+                     MakeReleaseMessage(held.front().id, held.front().session));
         held.erase(held.begin());
-        network.Post("probe", "pool0", MakeReleaseMessage(id, session));
         kernel.RunUntil(now + Millis(100));
       }
     }
-    result.entries_refreshed = pool->stats().entries_refreshed;
-    result.refresh_ticks = pool->stats().refresh_ticks;
+    for (const auto& p : pools) result.stats.push_back(p->stats());
     return result;
   };
 
-  const RunResult inc = run(true);
-  const RunResult full = run(false);
-  EXPECT_EQ(inc.allocations, full.allocations);
-  EXPECT_GT(inc.allocations.size(), 30u);
-  ASSERT_GT(full.refresh_ticks, 0u);
-  // The full sweep re-reads the whole 30-entry cache every tick; the
-  // dirty-id sweep re-reads only what changed.
-  EXPECT_EQ(full.entries_refreshed, full.refresh_ticks * 30u);
-  EXPECT_LT(inc.entries_refreshed, full.entries_refreshed / 2);
+  for (const auto& [policy, instances] :
+       {std::pair<std::string, std::uint32_t>{"least-load", 1},
+        std::pair<std::string, std::uint32_t>{"linear-least-load", 2}}) {
+    const RunResult inc = run(policy, instances, false);
+    const RunResult full = run(policy, instances, true);
+    EXPECT_EQ(inc.allocations, full.allocations) << policy;
+    EXPECT_GT(inc.allocations.size(), 30u) << policy;
+    ASSERT_EQ(inc.stats.size(), instances);
+    ASSERT_EQ(full.stats.size(), instances);
+    for (std::uint32_t i = 0; i < instances; ++i) {
+      const PoolStats& a = inc.stats[i];
+      const PoolStats& b = full.stats[i];
+      EXPECT_EQ(a.allocations, b.allocations) << policy << " " << i;
+      EXPECT_EQ(a.releases, b.releases) << policy << " " << i;
+      EXPECT_EQ(a.entries_examined, b.entries_examined) << policy << " " << i;
+      EXPECT_EQ(a.refresh_ticks, b.refresh_ticks) << policy << " " << i;
+      ASSERT_GT(b.refresh_ticks, 0u) << policy;
+      // The full sweep re-reads the whole 30-entry cache every tick; the
+      // dirty-id sweep re-reads only what changed.
+      EXPECT_EQ(b.entries_refreshed, b.refresh_ticks * 30u) << policy;
+      EXPECT_LT(a.entries_refreshed, b.entries_refreshed / 2) << policy;
+    }
+  }
 }
 
 // A quiet fleet costs a quiet refresh: with no monitor sweeps and no
@@ -616,6 +668,128 @@ TEST(PoolRefreshEquivalence, QuietTicksRefreshNothing) {
   kernel.RunUntil(Seconds(10));
   EXPECT_GE(pool->stats().refresh_ticks, 9u);
   EXPECT_EQ(pool->stats().entries_refreshed, 0u);
+}
+
+// Ids far apart: the pool's slot lookup keeps ids above its bitmap in a
+// sorted list. A refresh must still route their changes to the right
+// entries and skip the ids of machines it does not own.
+TEST(PoolRefreshEquivalence, SparseIdsRefreshLikeDenseOnes) {
+  simnet::SimKernel kernel;
+  simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
+  network.AddHost("alpha", 12);
+  db::ResourceDatabase database;
+  directory::DirectoryService directory;
+  auto probe = std::make_shared<Probe>();
+  network.AddNode("probe", probe, {"alpha", 4});
+  const std::vector<std::pair<db::MachineId, std::string>> machines = {
+      {1, "sun"},      {2, "hp"},           {3, "sun"},
+      {70000, "hp"},   {100000, "sun"},     {0xFFFFFFFE, "hp"},
+      {0xFFFFFFFF, "sun"}};
+  for (const auto& [id, arch] : machines) {
+    db::MachineRecord rec;
+    rec.id = id;
+    rec.name = arch + std::to_string(id);
+    rec.params["arch"] = arch;
+    rec.dyn.load = 0.5;
+    ASSERT_TRUE(database.Add(std::move(rec)).ok());
+  }
+  auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(criteria.ok());
+  ResourcePoolConfig config;
+  config.criteria = *criteria;
+  config.pool_name = criteria->PoolName();
+  config.policy = "least-load";
+  config.resort_period = Seconds(1);
+  auto pool = std::make_shared<ResourcePool>(config, &database, &directory,
+                                             nullptr, nullptr);
+  network.AddNode("pool0", pool, {"alpha", 1});
+  kernel.RunUntil(Millis(500));
+  ASSERT_EQ(pool->cache_size(), 4u);
+
+  auto set_load = [&database](db::MachineId id, double load) {
+    ASSERT_TRUE(database
+                    .Update(id, [load](db::MachineRecord& rec) {
+                      rec.dyn.load = load;
+                    })
+                    .ok());
+  };
+  std::size_t seen = 0;
+  auto allocate = [&]() {
+    net::Message query{net::msg::kQuery};
+    query.SetHeader(net::hdr::kReplyTo, "probe");
+    query.body = "punch.rsrc.arch = sun\n";
+    network.Post("probe", "pool0", std::move(query));
+    kernel.RunUntil(kernel.Now() + Millis(100));
+    std::string machine;
+    for (; seen < probe->messages.size(); ++seen) {
+      if (probe->messages[seen].type == net::msg::kAllocation) {
+        machine = probe->messages[seen].Header(net::hdr::kMachine);
+      }
+    }
+    return machine;
+  };
+  for (const db::MachineId id : {2u, 70000u, 0xFFFFFFFEu}) set_load(id, 0.0);
+  for (const db::MachineId id : {1u, 3u, 100000u}) set_load(id, 0.9);
+  set_load(0xFFFFFFFF, 0.1);
+  kernel.RunUntil(Millis(1500));  // one tick
+  EXPECT_EQ(pool->stats().entries_refreshed, 4u);
+  EXPECT_EQ(allocate(), "sun4294967295");
+
+  set_load(100000, 0.0);
+  kernel.RunUntil(Millis(2500));
+  EXPECT_EQ(pool->stats().entries_refreshed, 5u);
+  EXPECT_EQ(allocate(), "sun100000");
+}
+
+// A refresh can change what is eligible without moving anything: here
+// the 4-CPU machine drops below its load ceiling but still sorts after
+// the overloaded 1-CPU one. The re-sort is the identity, yet the
+// linear-* pool must rebuild the index the refresh left stale, or the
+// query is answered as if every machine were still full.
+TEST(PoolRefreshEquivalence, LinearPoolSeesEligibilityChangesThatMoveNothing) {
+  simnet::SimKernel kernel;
+  simnet::SimNetwork network(&kernel, simnet::Topology::Lan(), 7);
+  network.AddHost("alpha", 12);
+  db::ResourceDatabase database;
+  directory::DirectoryService directory;
+  auto probe = std::make_shared<Probe>();
+  network.AddNode("probe", probe, {"alpha", 4});
+  std::vector<db::MachineId> ids;
+  for (const auto& [cpus, load] : {std::pair<int, double>{1, 1.5},
+                                   std::pair<int, double>{4, 4.5}}) {
+    db::MachineRecord rec;
+    rec.name = "sun" + std::to_string(ids.size());
+    rec.params["arch"] = "sun";
+    rec.num_cpus = cpus;
+    rec.dyn.load = load;
+    ids.push_back(*database.Add(std::move(rec)));
+  }
+  auto criteria = query::Parser::ParseBasic("punch.rsrc.arch = sun\n");
+  ASSERT_TRUE(criteria.ok());
+  ResourcePoolConfig config;
+  config.criteria = *criteria;
+  config.pool_name = criteria->PoolName();
+  config.policy = "linear-least-load";
+  config.resort_period = Seconds(1);
+  auto pool = std::make_shared<ResourcePool>(config, &database, &directory,
+                                             nullptr, nullptr);
+  network.AddNode("pool0", pool, {"alpha", 1});
+  kernel.RunUntil(Millis(1500));  // first re-sort: sun0, sun1
+  ASSERT_TRUE(database
+                  .Update(ids[1],
+                          [](db::MachineRecord& rec) { rec.dyn.load = 3.5; })
+                  .ok());
+  kernel.RunUntil(Millis(2500));  // refresh + identity re-sort
+
+  net::Message query{net::msg::kQuery};
+  query.SetHeader(net::hdr::kReplyTo, "probe");
+  query.body = "punch.rsrc.arch = sun\n";
+  network.Post("probe", "pool0", std::move(query));
+  kernel.RunUntil(Millis(2600));
+  const auto* allocation = probe->last(net::msg::kAllocation);
+  ASSERT_NE(allocation, nullptr);
+  EXPECT_EQ(allocation->Header(net::hdr::kMachine), "sun1");
+  EXPECT_EQ(pool->stats().oversubscribed, 0u);
 }
 
 // A saturated pair of linear-least-load replicas, pinned to golden

@@ -387,6 +387,78 @@ TEST(SchedulingIndex, MatchesLinearScanOnRandomTraces) {
   }
 }
 
+// --- the merge re-sort ---
+
+// StableResortOrder against std::stable_sort, the way a re-sorting pool
+// drives it: start from an unsorted cache with every position marked,
+// then repeatedly change none, some or all entries, mark exactly those,
+// and apply the returned permutation. Values are coarse (many ties in
+// load, speed and memory) and some entries carry the pool's unusable
+// load sentinel.
+TEST(StableResortOrder, MatchesStableSortOnRandomCaches) {
+  constexpr double kUnusableLoad = 1e18;
+  Rng rng(9001);
+  std::vector<std::string> names(std::begin(kOrderedPolicies),
+                                 std::end(kOrderedPolicies));
+  names.push_back("round-robin");
+  names.push_back("random");
+  auto random_entry = [&rng](bool coarse) {
+    CacheEntry entry = RandomEntry(rng, 0.25);
+    if (coarse) {
+      entry.load = static_cast<double>(rng.NextBounded(3));
+      entry.effective_speed = rng.Bernoulli(0.5) ? 1.0 : 2.0;
+      entry.available_memory_mb = rng.Bernoulli(0.5) ? 128.0 : 256.0;
+    }
+    if (rng.Bernoulli(0.1)) entry.load = kUnusableLoad;
+    return entry;
+  };
+  for (const std::string& name : names) {
+    auto policy = MakePolicy(name);
+    ASSERT_TRUE(policy.ok());
+    const SchedulingPolicy& p = **policy;
+    for (int trial = 0; trial < 20; ++trial) {
+      const bool coarse = trial % 2 == 0;
+      const std::size_t n = rng.NextBounded(trial % 4 == 0 ? 300 : 30);
+      std::vector<CacheEntry> cache;
+      for (std::size_t i = 0; i < n; ++i) cache.push_back(random_entry(coarse));
+      std::vector<std::uint32_t> marked(n);
+      for (std::uint32_t i = 0; i < n; ++i) marked[i] = i;
+      std::vector<std::uint32_t> order;
+      for (int step = 0; step < 12; ++step) {
+        std::vector<std::uint32_t> expected(n);
+        for (std::uint32_t i = 0; i < n; ++i) expected[i] = i;
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                           return p.Better(cache[a], cache[b]);
+                         });
+        const bool moved = StableResortOrder(p, cache, &marked, &order);
+        const std::string where = name + " trial=" + std::to_string(trial) +
+                                  " step=" + std::to_string(step);
+        ASSERT_EQ(order, expected) << where;
+        EXPECT_EQ(moved, !std::is_sorted(expected.begin(), expected.end()))
+            << where;
+        std::vector<CacheEntry> sorted;
+        for (const std::uint32_t from : order) sorted.push_back(cache[from]);
+        cache = std::move(sorted);
+
+        // Next round's marks: none, a random subset, or everything.
+        marked.clear();
+        const std::uint64_t shape = rng.NextBounded(4);
+        for (std::uint32_t i = 0; i < n; ++i) {
+          if (shape == 0) continue;
+          if (shape == 3 || rng.Bernoulli(0.2)) {
+            if (rng.Bernoulli(0.8)) cache[i] = random_entry(coarse);
+            marked.push_back(i);
+          }
+        }
+        for (std::size_t i = marked.size(); i > 1; --i) {
+          std::swap(marked[i - 1], marked[rng.NextBounded(i)]);
+        }
+      }
+    }
+  }
+}
+
 // Edge shapes: a stride class with no eligible entry at all (the
 // instance must fall through to its siblings), and a class whose only
 // eligible entry sorts after every other entry of the class.
